@@ -14,7 +14,6 @@ import dataclasses
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -25,7 +24,6 @@ from .errors import (
     NoMinimum,
     NormLoss,
     NotConverged,
-    OptimizationNotConverged,
     QuadratureFailure,
     ValidationError,
 )
@@ -34,7 +32,6 @@ _NONCONVERGENCE = (
     ConvergenceFailure,
     NotConverged,
     NormLoss,
-    OptimizationNotConverged,
     QuadratureFailure,
     NoMinimum,
 )
@@ -299,7 +296,7 @@ def _c_cm_analytic(ctx: AcceptContext):
 def _c_switching_fidelity(ctx: AcceptContext):
     cfg, bb, b = ctx.cfg, ctx.bb_series, ctx.b_series
     chan = fidelity.switching_channel(cfg, bb, b, tau=bb.tau, frame_tau=bb.tau)
-    F = fidelity.min_fidelity(chan, symmetrized=True, seed=ctx.seed + 7)
+    F = fidelity.min_fidelity(chan, symmetrized=True)
 
     def factory(tau):
         return fidelity.switching_channel(cfg, bb, b, tau=tau, frame_tau=bb.tau)
@@ -374,10 +371,8 @@ def _c_ramsey(ctx: AcceptContext):
     dark = qc.ramsey_sequence(qc.LatticeRegister.basis((1, 2), [0, 0]), 2 * np.pi)
     bright = 1.0 - abs(dark.state[0]) ** 2
     etas = [0.05, 0.08, 0.12, 0.18]
-    slopes = {}
-    for size in (2, 3):
-        counts = [qc.random_fill((1000, 1000), e, seed=ctx.seed + 17 + i)[1].get(size, 0) for i, e in enumerate(etas)]
-        slopes[size] = qc.cluster_scaling_exponent(etas, counts, 10**6)
+    censuses = [qc.random_fill((1000, 1000), e, seed=ctx.seed + 17 + i)[1] for i, e in enumerate(etas)]
+    slopes = {size: qc.cluster_scaling_exponent(etas, [c.get(size, 0) for c in censuses], 10**6) for size in (2, 3)}
     slope_ok = all(abs(s - size) / size <= 0.05 for size, s in slopes.items())
     ok = d_pair <= 1e-12 and d_trip <= 1e-12 and bright < 1e-12 and slope_ok
     return ok, {
@@ -438,15 +433,12 @@ def _c_sweep_constructions(ctx: AcceptContext):
 
 
 def _c_fidelity_properties(ctx: AcceptContext):
-    f_ideal = fidelity.min_fidelity(fidelity.ideal_channel(), seed=ctx.seed + 11)
+    f_ideal = fidelity.min_fidelity(fidelity.ideal_channel())
     traj_a = traps.sine_squared_path(0.5, 8.0, 1.0)
     traj_b = traps.sine_squared_path(6.0, 8.0, 1.0)
     chan = fidelity.moving_channel(traj_a, traj_b)
     kts = [0.0, 0.1, 0.2, 0.4]
-    fs = [
-        fidelity.min_fidelity(chan, fidelity.thermal_state(1.0, kt) if kt > 0 else None, seed=ctx.seed + 13)
-        for kt in kts
-    ]
+    fs = [fidelity.min_fidelity(chan, fidelity.thermal_state(1.0, kt) if kt > 0 else None) for kt in kts]
     mono = all(fs[i + 1] <= fs[i] + 1e-12 for i in range(len(fs) - 1))
     ok = abs(f_ideal - 1.0) <= 1e-9 and mono
     return ok, {"ideal_fidelity": f_ideal, "kT_over_hw": kts, "fidelities": fs, "monotone": mono}
@@ -489,7 +481,7 @@ def run_accept(ctx: AcceptContext, only=None):
 # -- scenarios -------------------------------------------------------------
 
 
-def _scn_gate_moving(cfg, outdir, seed, jobs):
+def _scn_gate_moving(cfg, outdir, seed):
     traj = traps.sine_squared_path(cfg["amplitude"], cfg["tau"], cfg["cycles"])
     ts = np.linspace(-traj.tau, traj.tau, cfg["n_samples"])
     rows = [(t, float(np.asarray(traj.x(t))), float(np.asarray(traj.velocity(t)))) for t in ts]
@@ -513,7 +505,7 @@ def _scn_gate_moving(cfg, outdir, seed, jobs):
     return 0
 
 
-def _scn_gate_switching(cfg, outdir, seed, jobs):
+def _scn_gate_switching(cfg, outdir, seed):
     sc = traps.SwitchingConfig.rb87_microtrap()
     ser = switching.propagate(
         sc,
@@ -545,7 +537,7 @@ def _scn_gate_switching(cfg, outdir, seed, jobs):
     return 0
 
 
-def _scn_mott(cfg, outdir, seed, jobs):
+def _scn_mott(cfg, outdir, seed):
     lat = mott.BoseHubbardLattice.with_superlattice(
         cfg["lx"], cfg["ly"], J=cfg["j"], U=cfg["u"], mu=cfg["mu"],
         amplitude=cfg["amplitude"], period=cfg["period"], boundary=cfg["boundary"],
@@ -571,26 +563,17 @@ def _scn_mott(cfg, outdir, seed, jobs):
     return 0
 
 
-def _scn_fidelity_curve(cfg, outdir, seed, jobs):
+def _scn_fidelity_curve(cfg, outdir, seed):
     traj_a = traps.sine_squared_path(cfg["amplitude_a"], cfg["tau"], 1.0)
     traj_b = traps.sine_squared_path(cfg["amplitude_b"], cfg["tau"], 1.0)
     chan = fidelity.moving_channel(traj_a, traj_b)
     kts = [float(v) for v in str(cfg["kt_list"]).split(",")]
-
-    def one(kt):
-        rho = fidelity.thermal_state(1.0, kt) if kt > 0 else None
-        return fidelity.min_fidelity(chan, rho, seed=seed + 13)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            fs = list(ex.map(one, kts))
-    else:
-        fs = [one(kt) for kt in kts]
+    fs = [fidelity.min_fidelity(chan, fidelity.thermal_state(1.0, kt) if kt > 0 else None) for kt in kts]
     _write_csv(os.path.join(outdir, "fidelity_curve.csv"), ["kT_over_hbar_omega", "min_fidelity"], list(zip(kts, fs)))
     return 0
 
 
-def _scn_qc_ramsey(cfg, outdir, seed, jobs):
+def _scn_qc_ramsey(cfg, outdir, seed):
     phis = np.linspace(0.0, 2 * np.pi, cfg["n_phi"])
     rows = []
     for phi in phis:
@@ -609,7 +592,7 @@ def _scn_qc_ramsey(cfg, outdir, seed, jobs):
     return 0
 
 
-def _scn_qc_syndrome_table(cfg, outdir, seed, jobs):
+def _scn_qc_syndrome_table(cfg, outdir, seed):
     rows = qc.syndrome_table(cfg["alpha"], complex(cfg["beta_re"], cfg["beta_im"]))
     _write_csv(os.path.join(outdir, "syndrome_table.csv"), ["error", "syndrome", "residual"], rows)
     with open(os.path.join(outdir, "syndrome_table.txt"), "w") as fh:
@@ -618,7 +601,7 @@ def _scn_qc_syndrome_table(cfg, outdir, seed, jobs):
     return 0
 
 
-def _scn_qc_ghz(cfg, outdir, seed, jobs):
+def _scn_qc_ghz(cfg, outdir, seed):
     n = cfg["n"]
     state = qc.ghz_from_sweep(n)
     ref = np.zeros(2 ** (n + 1), dtype=complex)
@@ -630,26 +613,17 @@ def _scn_qc_ghz(cfg, outdir, seed, jobs):
     return 0
 
 
-def _scn_qc_qft(cfg, outdir, seed, jobs):
+def _scn_qc_qft(cfg, outdir, seed):
     m = cfg["m"]
     inputs = [[int(b) for b in format(a, f"0{m}b")] for a in range(2**m)]
-
-    def one(bits):
-        state, _ = qc.sweep_qft(bits)
-        return float(np.max(np.abs(state - _bit_reversed_dft_column(bits))))
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            devs = list(ex.map(one, inputs))
-    else:
-        devs = [one(b) for b in inputs]
+    devs = [float(np.max(np.abs(qc.sweep_qft(bits)[0] - _bit_reversed_dft_column(bits)))) for bits in inputs]
     rows = [("".join(map(str, b)), d) for b, d in zip(inputs, devs)]
     _write_csv(os.path.join(outdir, "qft_deviation.csv"), ["input", "max_abs_dev"], rows)
     _write_json(os.path.join(outdir, "summary.json"), {"m": m, "max_dev": max(devs)})
     return 0
 
 
-def _scn_qc_ftcnot(cfg, outdir, seed, jobs):
+def _scn_qc_ftcnot(cfg, outdir, seed):
     s0, s1 = qc.shor_codewords_standard()
     cw = {0: s0, 1: s1}
     rows = []
@@ -669,7 +643,7 @@ def _scn_qc_ftcnot(cfg, outdir, seed, jobs):
     return 0
 
 
-def _scn_qc_armada(cfg, outdir, seed, jobs):
+def _scn_qc_armada(cfg, outdir, seed):
     s0, s1 = qc.shor_codewords_standard()
     alpha, beta = 1 / np.sqrt(3), np.sqrt(2 / 3) * np.exp(0.4j)
     enc = alpha * s0 + beta * s1
@@ -688,7 +662,7 @@ def _scn_qc_armada(cfg, outdir, seed, jobs):
     return 0
 
 
-def _scn_accept(cfg, outdir, seed, jobs):
+def _scn_accept(cfg, outdir, seed):
     only = [s for s in str(cfg["only"]).split(",") if s] if cfg["only"] else None
     ctx = AcceptContext(seed=seed, tamper_lx_phase=cfg["tamper_lx_phase"], tamper_g_scale=cfg["tamper_g_scale"])
     results = run_accept(ctx, only=only)
@@ -736,7 +710,6 @@ def main(argv=None) -> int:
     ap.add_argument("--config", default=None, help="key=value or JSON config file")
     ap.add_argument("--out", default=".", help="output directory (COLDGATE_OUT overrides)")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--jobs", type=int, default=1)
     args = ap.parse_args(argv)
 
     outdir = os.environ.get("COLDGATE_OUT", args.out)
@@ -746,9 +719,9 @@ def main(argv=None) -> int:
         cfg = _resolve(defaults, overrides)
         os.makedirs(outdir, exist_ok=True)
         resolved = dict(cfg)
-        resolved.update({"scenario": args.scenario, "seed": args.seed, "jobs": args.jobs})
+        resolved.update({"scenario": args.scenario, "seed": args.seed})
         _write_json(os.path.join(outdir, "resolved_config.json"), resolved)
-        return fn(cfg, outdir, args.seed, args.jobs)
+        return fn(cfg, outdir, args.seed)
     except ValidationError as e:
         print(f"validation error: {e}", file=sys.stderr)
         return 2

@@ -29,10 +29,6 @@ class NormLoss(ColdgateError):
     """Wavefunction norm drifted beyond tolerance during propagation."""
 
 
-class OptimizationNotConverged(ColdgateError):
-    """Multi-start minimization results disagree beyond tolerance."""
-
-
 class NotConverged(ColdgateError):
     """Self-consistent iteration hit the budget without converging."""
 

@@ -275,7 +275,9 @@ def ramsey_sequence(reg: LatticeRegister, phi: float) -> LatticeRegister:
 def random_fill(shape, eta: float, seed=None):
     """Bernoulli(eta) site occupation and a census of maximal row clusters.
 
-    Returns (mask, census dict cluster_size -> count).
+    Returns (mask, census dict cluster_size -> count).  Runs are read off
+    the first difference of each zero-padded row: +1 where a run starts,
+    -1 one past its end.
     """
     if not 0.0 <= eta <= 1.0:
         raise ValidationError("eta must be in [0, 1]")
@@ -283,30 +285,34 @@ def random_fill(shape, eta: float, seed=None):
     rng = np.random.default_rng(seed)
     mask = rng.random(shape) < eta
     rows = mask.reshape(-1, shape[-1])
-    census: dict = {}
-    for row in rows:
-        run = 0
-        for v in np.append(row, False):
-            if v:
-                run += 1
-            elif run:
-                census[run] = census.get(run, 0) + 1
-                run = 0
-    return mask, census
+    padded = np.zeros((rows.shape[0], rows.shape[1] + 2), dtype=np.int8)
+    padded[:, 1:-1] = rows
+    edges = np.diff(padded, axis=1).ravel()
+    lengths = np.flatnonzero(edges == -1) - np.flatnonzero(edges == 1)
+    sizes, counts = np.unique(lengths, return_counts=True)
+    return mask, {int(n): int(c) for n, c in zip(sizes, counts)}
 
 
 def cluster_scaling_exponent(etas, counts, n_sites: int):
     """Fitted exponent of cluster frequency vs filling factor.
 
-    A maximal N-cluster occurs with probability ~ eta^N (1-eta)^2 per site,
-    so count/(sites*(1-eta)^2) ~ eta^N; the log-log slope estimates N.
+    A maximal N-cluster occurs with probability ~ A eta^N (1-eta)^2 per
+    site, so each count is Poisson with mean n_sites (1-eta)^2 A eta^N.
+    The exponent N is the maximum-likelihood fit of that log-linear model,
+    by Newton steps from the unweighted log-log least-squares line; unlike
+    that line, it weighs each filling by its count.
     """
     etas = np.asarray(etas, dtype=float)
-    y = np.asarray(counts, dtype=float) / (n_sites * (1 - etas) ** 2)
-    if np.any(y <= 0):
+    counts = np.asarray(counts, dtype=float)
+    if np.any(counts <= 0):
         raise ValidationError("empty cluster counts; increase the sample")
-    slope, _ = np.polyfit(np.log(etas), np.log(y), 1)
-    return float(slope)
+    offset = np.log(n_sites * (1 - etas) ** 2)
+    X = np.column_stack([np.ones_like(etas), np.log(etas)])
+    beta = np.linalg.lstsq(X, np.log(counts) - offset, rcond=None)[0]
+    for _ in range(8):  # quadratic convergence from the least-squares start
+        mu = np.exp(offset + X @ beta)
+        beta = beta + np.linalg.solve(X.T @ (mu[:, None] * X), X.T @ (counts - mu))
+    return float(beta[1])
 
 
 # -- Shor nine-qubit code --------------------------------------------------

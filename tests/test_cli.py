@@ -67,12 +67,25 @@ def test_mott_scenario_reproducible(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_qft_scenario_with_jobs(tmp_path):
+_QFT_CSV = """\
+input,max_abs_dev
+000,5.5511151231257827e-17
+001,8.7770836714417531e-17
+010,1.0286052121357769e-16
+011,4.3885418357208762e-16
+100,2.6565142222620071e-16
+101,8.8955752392330589e-16
+110,8.8955752392330589e-16
+111,1.277058133722624e-15
+"""
+
+
+def test_qft_scenario_csv_unchanged(tmp_path):
+    # frozen output of qc-qft at its defaults
     out = tmp_path / "o"
-    rc = cli.main(["qc-qft", "--out", str(out), "--jobs", "2"])
-    assert rc == 0
-    summary = json.loads((out / "summary.json").read_text())
-    assert summary["max_dev"] < 1e-10
+    assert cli.main(["qc-qft", "--out", str(out)]) == 0
+    assert (out / "qft_deviation.csv").read_text() == _QFT_CSV
+    assert "jobs" not in json.loads((out / "resolved_config.json").read_text())
 
 
 def test_nonconvergent_grid_exits_3(tmp_path):

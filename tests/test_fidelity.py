@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coldgate import fidelity, switching, traps
 from coldgate.errors import ValidationError
@@ -96,3 +97,42 @@ def test_timing_sensitivity_shape(ref_cfg, bb_series, b_series):
     assert abs(curve.offsets[imax]) <= 4e-3
     assert np.isfinite(curve.half_width)
 
+
+@st.composite
+def random_channels(draw):
+    """A two-mode channel with 2-4 basis pairs and random overlaps |v_s| <= 1
+    per level pair, and a motional state on 1-6 levels with random
+    probabilities."""
+    dim = draw(st.integers(2, 4))
+    n_levels = draw(st.integers(1, 6))
+    weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=n_levels, max_size=n_levels)))
+    size = n_levels * n_levels * dim
+    mods = draw(st.lists(st.floats(0.0, 1.0), min_size=size, max_size=size))
+    phases = draw(st.lists(st.floats(-np.pi, np.pi), min_size=size, max_size=size))
+    v = (np.array(mods) * np.exp(1j * np.array(phases))).reshape(n_levels, n_levels, dim)
+    basis = ("aa", "ab", "ba", "bb")[:dim]
+    chan = fidelity.GateChannel(basis=basis, overlaps=lambda n1, n2: dict(zip(basis, v[n1, n2])))
+    rho = fidelity.ThermalMotionalState(omega=1.0, kT=1.0, n_max=n_levels - 1, p=weights / weights.sum())
+    return chan, rho
+
+
+def _fidelity_level_by_level(chan, rho, c):
+    w = np.array([abs(c[s]) ** 2 for s in chan.basis])
+    f = 0.0
+    for i, pi in enumerate(rho.p):
+        for j, pj in enumerate(rho.p):
+            vs = np.array([chan.overlaps(i, j)[s] for s in chan.basis])
+            f += pi * pj * (abs(np.dot(w, vs)) ** 2 + np.dot(w**2, 1.0 - np.abs(vs) ** 2))
+    return float(f)
+
+
+@given(random_channels())
+@settings(max_examples=25, deadline=None)
+def test_exact_min_fidelity_matches_multistart_oracle(chan_rho):
+    chan, rho = chan_rho
+    f, c = fidelity.min_fidelity(chan, rho, return_state=True)
+    oracle = fidelity._min_fidelity_multistart(chan, rho)
+    assert abs(f - oracle) <= 1e-9
+    assert f <= oracle + 1e-12
+    assert sum(abs(a) ** 2 for a in c.values()) == pytest.approx(1.0, abs=1e-12)
+    assert _fidelity_level_by_level(chan, rho, c) == pytest.approx(f, abs=1e-12)

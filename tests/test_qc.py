@@ -105,21 +105,33 @@ def test_ramsey_probability_conserved(phi):
     assert float(np.sum(np.abs(out.state) ** 2)) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_random_fill_census():
-    mask, census = qc.random_fill((2, 6), 0.5, seed=0)
-    # recount independently
-    expect: dict = {}
-    for row in mask:
+def _census_by_loop(mask):
+    """Maximal row runs counted one site at a time."""
+    census: dict = {}
+    for row in mask.reshape(-1, mask.shape[-1]):
         run = 0
-        for v in list(row) + [False]:
+        for v in np.append(row, False):
             if v:
                 run += 1
             elif run:
-                expect[run] = expect.get(run, 0) + 1
+                census[run] = census.get(run, 0) + 1
                 run = 0
-    assert census == expect
+    return census
+
+
+def test_random_fill_census():
+    mask, census = qc.random_fill((2, 6), 0.5, seed=0)
+    assert census == _census_by_loop(mask)
     with pytest.raises(ValidationError):
         qc.random_fill((2, 2), 1.5)
+
+
+@pytest.mark.parametrize("eta,seed", [(0.0, 0), (0.05, 17), (0.3, 1), (0.9, 2), (1.0, 3)])
+def test_random_fill_census_matches_loop(eta, seed):
+    mask, census = qc.random_fill((40, 250), eta, seed=seed)
+    assert np.array_equal(mask, np.random.default_rng(seed).random((40, 250)) < eta)
+    assert census == _census_by_loop(mask)
+    assert all(type(k) is int and type(v) is int for k, v in census.items())
 
 
 def test_cluster_scaling_exponent_on_exact_counts():
