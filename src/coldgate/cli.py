@@ -100,28 +100,65 @@ def _resolve(defaults: dict, overrides: dict) -> dict:
 # -- shared helpers --------------------------------------------------------
 
 
+def _moving_well_kicks(x, dx, dt, centre):
+    """Kicks of ``switching._split_step`` for the moving well
+    V_s = (x - a_s)^2/2, where a_s = ``centre(s)`` is the well centre at the
+    midpoint of step s, for an array of step indices s.
+
+    The half kicks of steps s-1 and s fuse to exp(-i dt x^2/2) times
+    exp(i dt (a_{s-1} + a_s) x/2) times a scalar phase; the scalar phases of
+    a segment are applied together with its closing kick.  Since
+    x_{32 q + r} = x_{32 q} + r dx, each linear phase exp(i c x) is the
+    outer product of two short exponentials, one over q and one over r < 32.
+    Centres and fused kicks are computed one table of at most 256 KiB at a
+    time, so memory does not grow with the number of steps.
+    """
+    n_x, block = len(x), 32
+    xq, xr = x[::block], np.arange(block) * dx
+    quad_full = np.exp(-0.5j * dt * x**2)
+    quad_half = np.exp(-0.25j * dt * x**2)
+    rows = max(1, 2**18 // (16 * len(xq) * block))
+
+    def linear(c):  # exp(i c x) for each coefficient of c, as (len(c), N)
+        tab = np.exp(1j * c[:, None] * xq)[:, :, None] * np.exp(1j * c[:, None] * xr)[:, None, :]
+        return tab.reshape(len(c), -1)[:, :n_x]
+
+    def kicks(s0, s1):
+        a = centre(np.arange(s0, s0 + 1))
+        squares = a @ a
+        yield quad_half * linear(0.5 * dt * a)[0]
+        for j in range(s0 + 1, s1, rows):
+            a = centre(np.arange(j - 1, min(j + rows, s1)))  # a_{j-1} .. a_{j+rows-1}
+            squares += a[1:] @ a[1:]
+            tab = linear(0.5 * dt * (a[:-1] + a[1:]))
+            tab *= quad_full
+            yield from tab
+        yield quad_half * linear(0.5 * dt * a[-1:])[0] * np.exp(-0.5j * dt * squares)
+
+    return kicks
+
+
 def transport_grid_overlap(traj, N: int = 1024, L: float = 36.0, dt: float = 2e-3):
     """Independent split-step oracle for the transported-trap solver.
 
-    Propagates the trap ground state in the moving well V = (x - xbar(t))^2/2
-    and returns |<psi_model|psi_grid>|^2 at t = tau against the closed-form
+    Propagates the trap ground state in the moving well V = (x - xbar(t))^2/2,
+    with xbar taken at the midpoint of each step, and returns
+    |<psi_model|psi_grid>|^2 at t = tau against the closed-form
     reconstruction.
     """
     tau = traj.tau
     x = (np.arange(N) - N // 2) * (L / N)
     dx = L / N
-    k = 2 * np.pi * np.fft.fftfreq(N, d=dx)
     x_start = float(np.asarray(traj.x(-tau)))
     psi = np.pi ** (-0.25) * np.exp(-0.5 * (x - x_start) ** 2)
     psi = psi.astype(complex) / np.sqrt(np.sum(np.abs(psi) ** 2) * dx)
     n_steps = int(np.ceil(2 * tau / dt))
     dt = 2 * tau / n_steps
-    expK = np.exp(-0.5j * dt * k**2)
-    for s in range(n_steps):
-        tm = -tau + (s + 0.5) * dt
-        V = 0.5 * (x - float(np.asarray(traj.x(tm)))) ** 2
-        expV = np.exp(-0.5j * dt * V)
-        psi = expV * np.fft.ifft(expK * np.fft.fft(expV * psi))
+
+    def centre(s):
+        return np.asarray(traj.x(-tau + (s + 0.5) * dt), dtype=float)
+
+    switching._split_step(psi[None], _moving_well_kicks(x, dx, dt, centre), dt, dx, n_steps)
     ev = moving.evolve_coherent(traj, tau)
     ref = ev.position_wavefunction(x, lab_frame=True)
     ref = ref / np.sqrt(np.sum(np.abs(ref) ** 2) * dx)
@@ -268,24 +305,10 @@ def _c_switching_revival(ctx: AcceptContext):
 
 def _c_cm_analytic(ctx: AcceptContext):
     nu0 = ctx.cfg.omega0 / ctx.cfg.omega
-    N, L = 1024, 24.0
     steps = 2000
-    dt = 2 * np.pi / steps
-    dx = L / N
-    x = (np.arange(N) - N // 2) * dx
-    k = 2 * np.pi * np.fft.fftfreq(N, d=dx)
-    psi0 = (nu0 / np.pi) ** 0.25 * np.exp(-0.5 * nu0 * x**2)
-    psi0 = psi0.astype(complex) / np.sqrt(np.sum(np.abs(psi0) ** 2) * dx)
-    expV = np.exp(-0.25j * dt * x**2)
-    expK = np.exp(-0.5j * dt * k**2)
-    psi = psi0.copy()
-    amps = [1.0 + 0j]
-    for _ in range(steps):
-        psi = expV * np.fft.ifft(expK * np.fft.fft(expV * psi))
-        amps.append(np.vdot(psi0, psi) * dx)
-    t = np.arange(steps + 1) * dt
+    t, amps = switching._release_amplitudes(nu0, 0.0, 1024, 24.0, steps, steps)
     sel = np.linspace(0, steps, 100).astype(int)
-    grid_sq = np.abs(np.asarray(amps)[sel]) ** 2
+    grid_sq = np.abs(amps[sel]) ** 2
     ana = switching.cm_overlap_analytic(nu0, 1.0, t[sel])
     dev = float(np.max(np.abs(grid_sq - ana)))
     mid = float(switching.cm_overlap_analytic(nu0, 1.0, np.pi / 2))
@@ -563,11 +586,22 @@ def _scn_mott(cfg, outdir, seed):
     return 0
 
 
+def _parse_kt_list(text: str) -> list[float]:
+    """Comma-separated temperatures kT/(hbar omega), each finite and >= 0."""
+    try:
+        kts = [float(v) for v in text.split(",")]
+    except ValueError:
+        raise ValidationError(f"kt_list: expected comma-separated numbers, got {text!r}") from None
+    if not all(np.isfinite(kt) and kt >= 0 for kt in kts):
+        raise ValidationError(f"kt_list: every kT must be finite and >= 0, got {text!r}")
+    return kts
+
+
 def _scn_fidelity_curve(cfg, outdir, seed):
     traj_a = traps.sine_squared_path(cfg["amplitude_a"], cfg["tau"], 1.0)
     traj_b = traps.sine_squared_path(cfg["amplitude_b"], cfg["tau"], 1.0)
     chan = fidelity.moving_channel(traj_a, traj_b)
-    kts = [float(v) for v in str(cfg["kt_list"]).split(",")]
+    kts = _parse_kt_list(cfg["kt_list"])
     fs = [fidelity.min_fidelity(chan, fidelity.thermal_state(1.0, kt) if kt > 0 else None) for kt in kts]
     _write_csv(os.path.join(outdir, "fidelity_curve.csv"), ["kT_over_hbar_omega", "min_fidelity"], list(zip(kts, fs)))
     return 0

@@ -5,13 +5,26 @@ the two b atoms oscillate through each other and accumulate an interaction
 phase.  Center-of-mass motion is analytic; the relative coordinate is
 propagated on a 1D grid with a regularized contact term.  The (a,b) channel
 needs the full 2D two-particle grid and does not revive.
+
+Every grid propagation in the package, here and in the transport oracle of
+``cli``, runs through one split-step kernel, ``_split_step``.  It advances a
+stacked batch of wavefunctions, shape (k, N) or (k, N, N), in place with one
+``scipy.fft`` transform pair per step for the whole batch: the (b,b) state
+and its g=0 reference travel as one (2, N) array.  Between observations the
+two half kicks that meet between steps are applied as one full kick, and a
+time-dependent potential supplies its kicks as tables built a chunk of steps
+at a time.  The resolution precheck of ``propagate`` takes the phase on the
+requested grid from the first period of the main run and only propagates
+the 2N grid itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 
 import numpy as np
+from scipy import fft
 from scipy.integrate import quad
 
 from .errors import ConvergenceFailure, NormLoss, ValidationError
@@ -105,33 +118,52 @@ class TwoParticleGrid:
     def x(self):
         return (np.arange(self.N) - self.N // 2) * self.dx
 
-    @property
-    def k(self):
-        return 2 * np.pi * np.fft.fftfreq(self.N, d=self.dx)
-
 
 def _norm(psi, dx):
     return float(np.sum(np.abs(psi) ** 2) * dx)
 
 
-def _split_step_run(grid: TwoParticleGrid, psis, V, n_steps, observer=None, observe_every=1):
-    """Strang-split propagation of one or more wavefunctions in the static
-    potential V; observer(step_index, psis) is called every observe_every
-    steps (and at step 0)."""
-    dt = grid.dt
-    expV = np.exp(-0.5j * dt * V)
-    expK = np.exp(-0.5j * dt * grid.k**2)
-    psis = [p.astype(complex).copy() for p in psis]
-    if observer is not None:
-        observer(0, psis)
-    for s in range(1, n_steps + 1):
-        for i, p in enumerate(psis):
-            p = expV * p
-            p = np.fft.ifft(expK * np.fft.fft(p))
-            psis[i] = expV * p
-        if observer is not None and s % observe_every == 0:
-            observer(s, psis)
-    return psis
+def _static_kicks(half):
+    """The kicks of ``_split_step`` for a static potential with half kick ``half``."""
+    full = half * half
+    return lambda s0, s1: chain((half,), repeat(full, s1 - s0 - 1), (half,))
+
+
+def _split_step(psi, kicks, dt, dx, n_steps, every=0, observe=None):
+    """Advance the stacked batch ``psi``, of shape (k, N) or (k, N, N), in
+    place by ``n_steps`` Strang steps exp(-i dt V/2) exp(-i dt T) exp(-i dt V/2)
+    with T = -(1/2) times the Laplacian on a periodic grid of spacing ``dx``.
+
+    ``kicks`` is the half kick exp(-i dt V/2) of a static potential, which
+    broadcasts against ``psi``, or, for a time-dependent potential, a
+    callable ``kicks(s0, s1)`` that yields the s1 - s0 + 1 position-space
+    factors of steps s0 .. s1-1 in order: the opening half kick of step s0,
+    the fused kicks exp(-i dt (V_{s-1} + V_s)/2) between steps, and the
+    closing half kick of step s1-1.
+
+    The run is cut into segments of ``every`` steps (one segment when 0);
+    inside a segment the half kicks that meet are applied as one.
+    ``observe(s, psi)`` is called after each step s that is a multiple of
+    ``every`` (of ``n_steps`` when ``every`` is 0).
+    """
+    if not callable(kicks):
+        kicks = _static_kicks(kicks)
+    k2 = [(2 * np.pi * np.fft.fftfreq(n, d=dx)) ** 2 for n in psi.shape[1:]]
+    expK = np.exp(-0.5j * dt * sum(np.meshgrid(*k2, indexing="ij", sparse=True)))
+    # 1D members transform along their last axis, 2D members over both
+    forward, inverse = (fft.fft, fft.ifft) if psi.ndim == 2 else (fft.fft2, fft.ifft2)
+    seg = every or max(n_steps, 1)
+    for s0 in range(0, n_steps, seg):
+        s1 = min(s0 + seg, n_steps)
+        factors = iter(kicks(s0, s1))
+        psi *= next(factors)
+        for kick in factors:
+            # overwrite_x lets the transform reuse psi's buffer; out=psi keeps
+            # the result there either way
+            np.multiply(forward(psi, overwrite_x=True), expK, out=psi)
+            np.multiply(inverse(psi, overwrite_x=True), kick, out=psi)
+        if observe is not None and s1 % seg == 0:
+            observe(s1, psi)
 
 
 def _regularized_delta(x, sigma):
@@ -214,6 +246,15 @@ def _bb_initial_state(cfg: SwitchingConfig, x):
     return g, r0
 
 
+def _bb_problem(cfg: SwitchingConfig, x, dt, g_tilde, sigma_reg):
+    """Initial (b,b) state and the stacked half kicks of the interacting
+    potential and of its g=0 reference, rows in that order."""
+    psi0, _ = _bb_initial_state(cfg, x)
+    V0 = 0.5 * x**2
+    V = V0 + g_tilde * _regularized_delta(x, sigma_reg)
+    return psi0, np.exp(-0.5j * dt * np.stack([V, V0]))
+
+
 def propagate(
     cfg: SwitchingConfig,
     channel: tuple = ("b", "b"),
@@ -225,67 +266,64 @@ def propagate(
     check_convergence: bool = True,
     interacting: bool = True,
 ) -> SwitchTimeSeries:
-    """Propagate a collision channel through ``n_periods`` oscillations.
+    """Propagate the (b,b) channel through ``n_periods`` oscillations.
 
-    (b,b): relative coordinate only (CM is analytic); (a,b): full 2D grid
-    via propagate_ab.  Returns phase relative to a co-propagated g=0
-    reference, overlap series, and the revival period shift deltaT.
+    Only the relative coordinate is propagated (the CM motion is analytic),
+    side by side with a g=0 reference.  Returns the phase relative to that
+    reference, the overlap series, and the revival period shift deltaT.
+    With ``check_convergence`` the phase after one period must agree within
+    1e-3 rad with the same run on a grid of 2N points, or
+    ``ConvergenceFailure`` is raised.  The (a,b) channel needs the 2D grid
+    of ``propagate_ab``, and the (a,a) channel has no dynamics: both raise
+    ``ValidationError``.
     """
-    if tuple(channel) == ("a", "b") or tuple(channel) == ("b", "a"):
-        return propagate_ab(cfg, n_periods=min(n_periods, 2))
-    if tuple(channel) == ("a", "a"):
+    channel = tuple(channel)
+    if channel in (("a", "b"), ("b", "a")):
+        raise ValidationError("the (a,b) channel needs the full 2D grid: call propagate_ab")
+    if channel == ("a", "a"):
         raise ValidationError("the (a,a) channel has no dynamics: both atoms stay in their wells")
+    if n_periods < 1:
+        raise ValidationError("n_periods must be >= 1")
 
     period = 2 * np.pi
     dt = period / steps_per_period
     grid = TwoParticleGrid(L=L, N=N, dt=dt)
-    x = grid.x
+    dx = grid.dx
 
     mu = cfg.mass / 2.0
     a_r = np.sqrt(HBAR / (mu * cfg.omega))
     g_tilde = cfg.g1d("bb") / (HBAR * cfg.omega * a_r) if interacting else 0.0
+    psi0, half = _bb_problem(cfg, grid.x, dt, g_tilde, sigma_reg)
 
+    n_steps = int(round((n_periods + 0.1) * steps_per_period))
+    # rows: <psi0|psi>, <psi0|ref>, <ref|psi> at every step
+    amp = np.empty((3, n_steps + 1), dtype=complex)
+    psi0 = psi0.astype(complex)
+
+    def recorder(out):
+        def observe(s, stack):
+            out[:2, s] = stack @ psi0 * dx
+            out[2, s] = np.vdot(stack[1], stack[0]) * dx
+
+        return observe
+
+    # interacting state (row 0) and its g=0 reference (row 1)
+    stack = np.stack([psi0, psi0])
+    recorder(amp)(0, stack)
+    first = steps_per_period if check_convergence else n_steps
+    _split_step(stack, half, dt, dx, first, every=1, observe=recorder(amp))
     if check_convergence:
-        p1 = _propagate_bb_once(cfg, TwoParticleGrid(L=L, N=N, dt=dt), g_tilde, sigma_reg, 1, steps_per_period)
+        p1 = float(-np.angle(amp[2, first]))
         p2 = _propagate_bb_once(cfg, TwoParticleGrid(L=L, N=2 * N, dt=dt), g_tilde, sigma_reg, 1, steps_per_period)
         if abs(p1 - p2) > 1e-3:
             raise ConvergenceFailure(f"phase changes by {abs(p1 - p2):.2e} rad when halving dx")
+        _split_step(stack, half, dt, dx, n_steps - first, every=1, observe=recorder(amp[:, first:]))
 
-    psi0, _r0 = _bb_initial_state(cfg, x)
-    V0 = 0.5 * x**2
-    V = V0 + g_tilde * _regularized_delta(x, sigma_reg)
+    if abs(_norm(stack[0], dx) - 1.0) > 1e-6:
+        raise NormLoss(f"norm drifted to {_norm(stack[0], dx):.8f}")
 
-    n_steps = int(round((n_periods + 0.1) * steps_per_period))
-    rec = {"t": [], "a_init": [], "a_ref": [], "a_init_ref": []}
-    dx = grid.dx
-    psi0c = psi0.copy()
-
-    def obs(s, psis):
-        psi, ref = psis
-        rec["t"].append(s * dt)
-        rec["a_init"].append(np.vdot(psi0c, psi) * dx)
-        rec["a_ref"].append(np.vdot(ref, psi) * dx)
-        rec["a_init_ref"].append(np.vdot(psi0c, ref) * dx)
-
-    # interacting state and its g=0 reference propagate side by side
-    expV = np.exp(-0.5j * dt * V)
-    expV0 = np.exp(-0.5j * dt * V0)
-    expK = np.exp(-0.5j * dt * grid.k**2)
-    psi = psi0.astype(complex).copy()
-    ref = psi0.astype(complex).copy()
-    obs(0, [psi, ref])
-    for s in range(1, n_steps + 1):
-        psi = expV * np.fft.ifft(expK * np.fft.fft(expV * psi))
-        ref = expV0 * np.fft.ifft(expK * np.fft.fft(expV0 * ref))
-        obs(s, [psi, ref])
-
-    if abs(_norm(psi, dx) - 1.0) > 1e-6:
-        raise NormLoss(f"norm drifted to {_norm(psi, dx):.8f}")
-
-    t = np.asarray(rec["t"])
-    a_init = np.asarray(rec["a_init"])
-    a_ref = np.asarray(rec["a_ref"])
-    a_init_ref = np.asarray(rec["a_init_ref"])
+    t = np.arange(n_steps + 1) * dt
+    a_init, a_init_ref, a_ref = amp
     phase = -np.unwrap(np.angle(a_ref))
     ov_init = np.abs(a_init) ** 2
     deltaT, peaks = _extract_revivals(t, ov_init, period, n_periods)
@@ -311,20 +349,10 @@ def propagate(
 def _propagate_bb_once(cfg, grid, g_tilde, sigma_reg, n_periods, steps_per_period):
     """One-shot short propagation returning the phase after n_periods periods
     (used by the resolution pre-check)."""
-    x = grid.x
-    psi0, _ = _bb_initial_state(cfg, x)
-    V0 = 0.5 * x**2
-    V = V0 + g_tilde * _regularized_delta(x, sigma_reg)
-    n_steps = n_periods * steps_per_period
-    psi = psi0.astype(complex).copy()
-    ref = psi0.astype(complex).copy()
-    expV = np.exp(-0.5j * grid.dt * V)
-    expV0 = np.exp(-0.5j * grid.dt * V0)
-    expK = np.exp(-0.5j * grid.dt * grid.k**2)
-    for _ in range(n_steps):
-        psi = expV * np.fft.ifft(expK * np.fft.fft(expV * psi))
-        ref = expV0 * np.fft.ifft(expK * np.fft.fft(expV0 * ref))
-    return float(-np.angle(np.vdot(ref, psi) * grid.dx))
+    psi0, half = _bb_problem(cfg, grid.x, grid.dt, g_tilde, sigma_reg)
+    stack = np.stack([psi0, psi0]).astype(complex)
+    _split_step(stack, half, grid.dt, grid.dx, n_periods * steps_per_period)
+    return float(-np.angle(np.vdot(stack[1], stack[0]) * grid.dx))
 
 
 def propagate_ab(
@@ -340,13 +368,12 @@ def propagate_ab(
     The a atom stays in its double well while the b atom oscillates through
     the merged well; the joint state does not return to itself, so the
     series is flagged non-revival.  Single-particle oscillator units of the
-    merged well.
+    merged well.  The state and its g=0 reference are sampled every 4 steps.
     """
     period = 2 * np.pi
     dt = period / steps_per_period
     dx = L / N
     x = (np.arange(N) - N // 2) * dx
-    k = 2 * np.pi * np.fft.fftfreq(N, d=dx)
     units = cfg.units
     a_x = units.length_si
     x0 = cfg.x0 / a_x
@@ -364,31 +391,24 @@ def propagate_ab(
     psi0 = np.outer(phi_a, phi_b).astype(complex)
     psi0 /= np.sqrt(np.sum(np.abs(psi0) ** 2) * dx * dx)
 
-    K1, K2 = np.meshgrid(k, k, indexing="ij")
-    expK = np.exp(-0.5j * dt * (K1**2 + K2**2))
-    expV = np.exp(-0.5j * dt * V)
-    expV0 = np.exp(-0.5j * dt * V0)
-
     n_steps = int(round((n_periods + 0.1) * steps_per_period))
-    psi = psi0.copy()
-    ref = psi0.copy()
-    ts, a_init, a_ref, a_init_ref = [0.0], [1.0 + 0j], [1.0 + 0j], [1.0 + 0j]
-    for s in range(1, n_steps + 1):
-        psi = expV * np.fft.ifft2(expK * np.fft.fft2(expV * psi))
-        ref = expV0 * np.fft.ifft2(expK * np.fft.fft2(expV0 * ref))
-        if s % 4 == 0:
-            ts.append(s * dt)
-            a_init.append(np.vdot(psi0, psi) * dx * dx)
-            a_ref.append(np.vdot(ref, psi) * dx * dx)
-            a_init_ref.append(np.vdot(psi0, ref) * dx * dx)
+    every = 4
+    # rows: <psi0|psi>, <psi0|ref>, <ref|psi> at every 4th step
+    amp = np.ones((3, n_steps // every + 1), dtype=complex)
 
-    nrm = float(np.sum(np.abs(psi) ** 2) * dx * dx)
+    def observe(s, stack):
+        psi, ref = stack
+        amp[:, s // every] = (np.vdot(psi0, psi) * dx * dx, np.vdot(psi0, ref) * dx * dx, np.vdot(ref, psi) * dx * dx)
+
+    stack = np.stack([psi0, psi0])
+    _split_step(stack, np.exp(-0.5j * dt * np.stack([V, V0])), dt, dx, n_steps, every=every, observe=observe)
+
+    nrm = float(np.sum(np.abs(stack[0]) ** 2) * dx * dx)
     if abs(nrm - 1.0) > 1e-6:
         raise NormLoss(f"norm drifted to {nrm:.8f}")
 
-    t = np.asarray(ts)
-    a_init = np.asarray(a_init)
-    a_ref = np.asarray(a_ref)
+    t = np.arange(0, n_steps + 1, every) * dt
+    a_init, a_init_ref, a_ref = amp
     phase = -np.unwrap(np.angle(a_ref))
     ov_init = np.abs(a_init) ** 2
     deltaT, peaks = _extract_revivals(t, ov_init, period, n_periods)
@@ -399,7 +419,7 @@ def propagate_ab(
         overlap_ref=np.abs(a_ref) ** 2,
         overlap_init=ov_init,
         amp_init=a_init,
-        amp_init_ref=np.asarray(a_init_ref),
+        amp_init_ref=a_init_ref,
         period=period,
         deltaT=deltaT,
         tau=tau,
@@ -423,6 +443,24 @@ class SingleParticleSeries:
         return complex(np.interp(t, self.t, self.amp.real) + 1j * np.interp(t, self.t, self.amp.imag))
 
 
+def _release_amplitudes(nu0, x0, N, L, steps_per_period, n_steps):
+    """Times and amplitudes <psi(0)|psi(t)> at every step for the ground
+    state of a well of frequency nu0 centred at x0, released into the merged
+    well V = x^2/2 (oscillator units, period 2 pi)."""
+    dt = 2 * np.pi / steps_per_period
+    grid = TwoParticleGrid(L=L, N=N, dt=dt)
+    x = grid.x
+    psi0 = (nu0 / np.pi) ** 0.25 * np.exp(-0.5 * nu0 * (x - x0) ** 2)
+    psi0 = psi0.astype(complex) / np.sqrt(np.sum(np.abs(psi0) ** 2) * grid.dx)
+    amps = np.ones(n_steps + 1, dtype=complex)
+
+    def observe(s, stack):
+        amps[s] = np.vdot(psi0, stack[0]) * grid.dx
+
+    _split_step(psi0[None].copy(), np.exp(-0.25j * dt * x**2), dt, grid.dx, n_steps, every=1, observe=observe)
+    return np.arange(n_steps + 1) * dt, amps
+
+
 def propagate_single_b(
     cfg: SwitchingConfig,
     n_periods: float = 7.2,
@@ -430,26 +468,13 @@ def propagate_single_b(
     L: float = 24.0,
     steps_per_period: int = 2000,
 ) -> SingleParticleSeries:
-    period = 2 * np.pi
-    dt = period / steps_per_period
-    grid = TwoParticleGrid(L=L, N=N, dt=dt)
-    x = grid.x
-    units = cfg.units
-    x0 = cfg.x0 / units.length_si
+    """Revival amplitude series of one b atom released from its initial well
+    into the merged well, sampled at every step."""
+    x0 = cfg.x0 / cfg.units.length_si
     nu0 = cfg.omega0 / cfg.omega
-    psi0 = (nu0 / np.pi) ** 0.25 * np.exp(-0.5 * nu0 * (x - x0) ** 2)
-    psi0 = psi0 / np.sqrt(np.sum(np.abs(psi0) ** 2) * grid.dx)
-    V = 0.5 * x**2
-    expV = np.exp(-0.5j * dt * V)
-    expK = np.exp(-0.5j * dt * grid.k**2)
-    psi = psi0.astype(complex).copy()
-    ts, amps = [0.0], [1.0 + 0j]
     n_steps = int(round(n_periods * steps_per_period))
-    for s in range(1, n_steps + 1):
-        psi = expV * np.fft.ifft(expK * np.fft.fft(expV * psi))
-        ts.append(s * dt)
-        amps.append(np.vdot(psi0, psi) * grid.dx)
-    return SingleParticleSeries(t=np.asarray(ts), amp=np.asarray(amps))
+    t, amp = _release_amplitudes(nu0, x0, N, L, steps_per_period, n_steps)
+    return SingleParticleSeries(t=t, amp=amp)
 
 
 @dataclass(frozen=True)

@@ -206,15 +206,24 @@ class Trajectory:
         return abs(float(self.x(self.tau)) - float(self.x(-self.tau))) < tol
 
 
+def _check_path(amplitude, **positive):
+    """Reject a non-finite path amplitude and non-finite or non-positive
+    values of the named parameters."""
+    if not np.isfinite(amplitude):
+        raise ValidationError(f"amplitude must be finite, got {amplitude!r}")
+    for name, value in positive.items():
+        if not (np.isfinite(value) and value > 0):
+            raise ValidationError(f"{name} must be finite and > 0, got {value!r}")
+
+
 def sine_squared_path(amplitude: float, tau: float, cycles: float = 0.5) -> Trajectory:
     """x(t) = A sin^2(c (t + tau)) with c = cycles*pi/(2 tau).
 
     cycles = 0.5 transports the trap by A over [-tau, tau]; integer cycles
     return it to the start (round trip).  Analytic derivatives to all
-    orders.
+    orders.  A may have either sign; tau and cycles must be positive.
     """
-    if tau <= 0:
-        raise ValidationError("tau must be > 0")
+    _check_path(amplitude=amplitude, tau=tau, cycles=cycles)
     c = cycles * np.pi / (2.0 * tau)
     A = amplitude
 
@@ -229,9 +238,9 @@ def sine_squared_path(amplitude: float, tau: float, cycles: float = 0.5) -> Traj
 
 
 def gaussian_bump_path(amplitude: float, tau: float, width: float) -> Trajectory:
-    """Round-trip excursion x(t) = A exp(-t^2/(2 width^2))."""
-    if tau <= 0 or width <= 0:
-        raise ValidationError("tau and width must be > 0")
+    """Round-trip excursion x(t) = A exp(-t^2/(2 width^2)); A may have
+    either sign, tau and width must be positive."""
+    _check_path(amplitude=amplitude, tau=tau, width=width)
     A, w = amplitude, width
 
     def x(t):

@@ -120,3 +120,16 @@ def test_benchmark_trajectories_shapes():
     trajs = cli.benchmark_trajectories()
     assert len(trajs) == 5
     assert all(t.tau > 0 for t in trajs)
+
+
+def test_nonfinite_path_parameter_exits_2(tmp_path):
+    cfgp = tmp_path / "c.cfg"
+    cfgp.write_text("tau=NaN\n")
+    assert cli.main(["gate-moving", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("kt_list", ["a,b", "0,,0.1", "0.1,-0.2", "0,nan", "inf"])
+def test_fidelity_curve_bad_kt_list_exits_2(tmp_path, kt_list):
+    cfgp = tmp_path / "c.cfg"
+    cfgp.write_text(f"kt_list={kt_list}\n")
+    assert cli.main(["fidelity-curve", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2

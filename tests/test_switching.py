@@ -65,6 +65,13 @@ def test_propagate_rejects_aa_channel(ref_cfg):
         switching.propagate(ref_cfg, ("a", "a"))
 
 
+@pytest.mark.parametrize("channel", [("a", "b"), ("b", "a")])
+def test_propagate_refers_mixed_channel_to_propagate_ab(ref_cfg, channel):
+    # propagate's grid arguments do not fit the 2D grid, so it does not guess
+    with pytest.raises(ValidationError, match="propagate_ab"):
+        switching.propagate(ref_cfg, channel, n_periods=1, N=64)
+
+
 def test_propagate_resolution_precheck(ref_cfg):
     # a grid that cannot resolve the contact term must be refused
     with pytest.raises(ConvergenceFailure):

@@ -88,6 +88,23 @@ def test_trajectory_shifted():
     assert float(np.asarray(sh.x(0.5))) == pytest.approx(float(np.asarray(path.x(0.0))))
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: traps.sine_squared_path(float("nan"), 10.0, 1.0),
+        lambda: traps.sine_squared_path(4.0, float("inf"), 1.0),
+        lambda: traps.sine_squared_path(4.0, 10.0, 0.0),
+        lambda: traps.sine_squared_path(4.0, 10.0, float("nan")),
+        lambda: traps.gaussian_bump_path(float("inf"), 20.0, 3.0),
+        lambda: traps.gaussian_bump_path(2.0, float("nan"), 3.0),
+        lambda: traps.gaussian_bump_path(2.0, 20.0, -1.0),
+    ],
+)
+def test_path_rejects_nonfinite_or_nonpositive_parameters(make):
+    with pytest.raises(ValidationError):
+        make()
+
+
 def test_switching_config_reference_values():
     cfg = traps.SwitchingConfig.rb87_microtrap()
     assert cfg.omega0 == pytest.approx(2 * cfg.omega)
