@@ -89,6 +89,8 @@ def _resolve(defaults: dict, overrides: dict) -> dict:
     cfg = dict(defaults)
     for k, v in overrides.items():
         d = defaults[k]
+        if isinstance(v, bool) and not isinstance(d, bool):
+            raise ValidationError(f"config key {k!r}: expected {type(d).__name__}, got a bool")
         if isinstance(d, float) and isinstance(v, (int, float)):
             v = float(v)
         elif d is not None and not isinstance(v, type(d)):
@@ -361,10 +363,7 @@ def _c_mott_loading(ctx: AcceptContext):
     var = float(np.max(st.number_variance))
     lat0 = mott.BoseHubbardLattice.with_superlattice(18, 18, J=0.0, U=30.0, mu=15.0, amplitude=40.0, period=9.0)
     st0 = mott.gutzwiller_minimize(lat0, seed=ctx.seed)
-    n = np.arange(st0.n_max + 1)
-    n_star = np.array(
-        [[np.argmin(0.5 * lat0.U * n * (n - 1) + (lat0.eps[i, j] - lat0.mu) * n) for j in range(18)] for i in range(18)]
-    )
+    n_star = np.argmax(mott._atomic_limit_f(lat0, st0.n_max), axis=-1)
     atomic_dev = float(np.max(np.abs(st0.density - n_star)))
     ok = dev_01 <= 1e-3 and var <= 1e-3 and atomic_dev <= 1e-10
     return ok, {

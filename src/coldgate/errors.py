@@ -30,7 +30,13 @@ class NormLoss(ColdgateError):
 
 
 class NotConverged(ColdgateError):
-    """Self-consistent iteration hit the budget without converging."""
+    """Self-consistent iteration hit the budget without converging.
+
+    ``state`` is the best non-converged result, when the solver has one."""
+
+    def __init__(self, message: str, state=None):
+        super().__init__(message)
+        self.state = state
 
 
 class NonBasisSyndrome(ColdgateError):

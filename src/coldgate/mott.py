@@ -2,8 +2,10 @@
 Bose-Hubbard model.
 
 The variational state is site-factorized, Prod_i Sum_n f_n(i)|n>_i; the
-ground state follows from cyclic single-site diagonalization with the
-neighbor order parameters as a self-consistent hopping field.
+ground state follows from red-black (colour-class) sweeps of single-site
+diagonalizations, with the neighbour order parameters as a self-consistent
+hopping field.  The sites of one colour class share no neighbour, so each
+class is diagonalized at once by one batched ``eigh``.
 """
 
 from __future__ import annotations
@@ -17,8 +19,10 @@ from .errors import NotConverged, ValidationError
 
 def superlattice(x, y, amplitude: float, period: float):
     """Superlattice offset amplitude*(sin^2(pi x/period) + sin^2(pi y/period))."""
-    if period <= 0:
-        raise ValidationError("period must be > 0")
+    if not (np.isfinite(period) and period > 0):
+        raise ValidationError("period must be finite and > 0")
+    if not np.isfinite(amplitude):
+        raise ValidationError("amplitude must be finite")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     return amplitude * (np.sin(np.pi * x / period) ** 2 + np.sin(np.pi * y / period) ** 2)
@@ -38,6 +42,8 @@ class BoseHubbardLattice:
     a: float = 1.0
 
     def __post_init__(self):
+        if not all(np.isfinite(v) for v in (self.J, self.U, self.mu)):
+            raise ValidationError("J, U and mu must be finite")
         if self.U <= 0:
             raise ValidationError("U must be > 0")
         if self.Lx < 1 or self.Ly < 1:
@@ -50,6 +56,8 @@ class BoseHubbardLattice:
             self.eps = np.asarray(self.eps, dtype=float)
             if self.eps.shape != (self.Lx, self.Ly):
                 raise ValidationError("eps shape mismatch")
+            if not np.all(np.isfinite(self.eps)):
+                raise ValidationError("eps must be finite")
 
     @classmethod
     def with_superlattice(cls, Lx, Ly, J, U, mu, amplitude, period, boundary="periodic"):
@@ -58,6 +66,9 @@ class BoseHubbardLattice:
         return cls(Lx=Lx, Ly=Ly, J=J, U=U, mu=mu, eps=eps, boundary=boundary)
 
     def neighbors(self, i: int, j: int):
+        """Neighbours of site (i, j), one per bond direction; on a periodic
+        side of length 1 or 2 a site repeats.  The per-site reference for
+        ``_neighbour_field``, which the solver uses."""
         out = []
         for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
             ni, nj = i + di, j + dj
@@ -107,61 +118,99 @@ class GutzwillerState:
         e = float(np.einsum("ijk,k->", np.abs(self.f) ** 2, onsite))
         e += float(np.sum((lat.eps - lat.mu) * self.density))
         phi = self.order_parameter
-        hop = 0.0
-        for i in range(lat.Lx):
-            for j in range(lat.Ly):
-                for ni, nj in lat.neighbors(i, j):
-                    hop += np.real(np.conj(phi[i, j]) * phi[ni, nj])
-        # the directed-pair sum visits each bond twice, which supplies the
-        # hermitian-conjugate term of -J sum_<ij> (bi^dag bj + h.c.)
+        # the sum over sites of each neighbour field visits each bond twice,
+        # which supplies the hermitian-conjugate term of
+        # -J sum_<ij> (bi^dag bj + h.c.)
+        hop = float(np.sum(np.real(np.conj(phi) * _neighbour_field(phi, lat.boundary == "periodic"))))
         return e - lat.J * hop
 
 
-def _local_hamiltonian(lat: BoseHubbardLattice, eps_i: float, phi_field: complex, n_max: int):
-    n = np.arange(n_max + 1)
-    H = np.diag(0.5 * lat.U * n * (n - 1) + (eps_i - lat.mu) * n).astype(complex)
-    rt = np.sqrt(np.arange(1, n_max + 1))
-    off = -lat.J * np.conj(phi_field) * rt
-    H[np.arange(n_max), np.arange(1, n_max + 1)] += off
-    H[np.arange(1, n_max + 1), np.arange(n_max)] += np.conj(off)
-    return H
+def _neighbour_field(phi, periodic: bool):
+    """Sum of ``phi`` over the four neighbours of every site: rolls for
+    periodic boundaries, zero padding for open ones.  The terms are added
+    in the order (i+1, j), (i-1, j), (i, j+1), (i, j-1)."""
+    if periodic:
+        return np.roll(phi, -1, 0) + np.roll(phi, 1, 0) + np.roll(phi, -1, 1) + np.roll(phi, 1, 1)
+    p = np.pad(phi, 1)
+    return p[2:, 1:-1] + p[:-2, 1:-1] + p[1:-1, 2:] + p[1:-1, :-2]
+
+
+def _ring_colours(length: int, periodic: bool):
+    """A proper colouring of a chain, or of a ring when ``periodic``: 0, 1
+    alternating, with the last site of an odd ring (length > 1) coloured 2."""
+    c = np.arange(length) % 2
+    if periodic and length % 2 and length > 1:
+        c[-1] = 2
+    return c
+
+
+def _colour_classes(lat: BoseHubbardLattice):
+    """(Lx, Ly) colour labels; no two distinct neighbouring sites share one.
+
+    The checkerboard (i+j) % 2 on bipartite lattices (open boundaries or
+    even periodic sides), else (a(i) + b(j)) % 3 with a and b proper
+    colourings of the two rings.  A site of a periodic side of length 1 is
+    its own neighbour, which no colouring can avoid."""
+    periodic = lat.boundary == "periodic"
+    a, b = _ring_colours(lat.Lx, periodic), _ring_colours(lat.Ly, periodic)
+    k = 3 if max(a.max(), b.max()) == 2 else 2
+    return (a[:, None] + b[None, :]) % k
 
 
 def _atomic_limit_f(lat: BoseHubbardLattice, n_max: int):
     n = np.arange(n_max + 1)
-    f = np.zeros((lat.Lx, lat.Ly, n_max + 1))
-    for i in range(lat.Lx):
-        for j in range(lat.Ly):
-            e = 0.5 * lat.U * n * (n - 1) + (lat.eps[i, j] - lat.mu) * n
-            f[i, j, int(np.argmin(e))] = 1.0  # argmin takes the lowest n on ties
-    return f
+    e = 0.5 * lat.U * n * (n - 1) + (lat.eps[:, :, None] - lat.mu) * n
+    # argmin takes the lowest n on ties
+    return (np.argmin(e, axis=-1)[:, :, None] == n).astype(float)
 
 
 def _sweep_to_convergence(lat, f, n_max, tol_f=1e-8, tol_e=1e-10, max_sweeps=4000):
-    rt = np.sqrt(np.arange(1, n_max + 1))
-    f = f.astype(complex).copy()
-    phi = np.einsum("ijk,k,ijk->ij", np.conj(f[:, :, :-1]), rt, f[:, :, 1:])
-    site_e = np.zeros((lat.Lx, lat.Ly))
+    """Red-black Gauss-Seidel sweeps of the single-site problems.
+
+    A sweep visits the colour classes of ``_colour_classes`` in turn.  No
+    two sites of a class are neighbours, so each class is updated at once
+    from the current order parameters: its local Hamiltonians are
+    diagonalized by one batched ``eigh``.  Converged when, over a whole
+    sweep, no amplitude moves by ``tol_f`` and no local ground energy by
+    ``tol_e`` times |J| (times U where that product is 0).  Returns
+    (f, sweeps, converged).
+    """
+    d = n_max + 1
+    n = np.arange(d)
+    lo, hi = np.arange(n_max), np.arange(1, d)
+    rt = np.sqrt(hi)
+    periodic = lat.boundary == "periodic"
+    f = f.astype(complex).reshape(lat.Lx * lat.Ly, d)
+    phi = np.einsum("sk,k,sk->s", np.conj(f[:, :-1]), rt, f[:, 1:])
+    site_e = np.zeros(lat.Lx * lat.Ly)
+    onsite = 0.5 * lat.U * n * (n - 1) + (lat.eps.reshape(-1, 1) - lat.mu) * n
+    colours = _colour_classes(lat).ravel()
+    classes = [np.flatnonzero(colours == c) for c in range(colours.max() + 1)]
+    # scaled by U where tol_e |J| is 0: at J = 0, or when it underflows
+    tol_de = tol_e * abs(lat.J) or tol_e * lat.U
     for sweep in range(1, max_sweeps + 1):
         max_df = 0.0
         max_de = 0.0
-        for i in range(lat.Lx):
-            for j in range(lat.Ly):
-                field = sum(phi[ni, nj] for ni, nj in lat.neighbors(i, j))
-                H = _local_hamiltonian(lat, lat.eps[i, j], field, n_max)
-                w, v = np.linalg.eigh(H)
-                g = v[:, 0]
-                # fix the arbitrary eigenvector phase for determinism
-                k = int(np.argmax(np.abs(g)))
-                g = g * np.exp(-1j * np.angle(g[k]))
-                max_df = max(max_df, float(np.max(np.abs(g - f[i, j]))))
-                max_de = max(max_de, abs(float(w[0]) - site_e[i, j]))
-                site_e[i, j] = float(w[0])
-                f[i, j] = g
-                phi[i, j] = np.dot(np.conj(g[:-1]) * rt, g[1:])
-        if max_df < tol_f and max_de < tol_e * max(abs(lat.J), 1e-30):
-            return f, sweep, True
-    return f, max_sweeps, False
+        for sites in classes:
+            field = _neighbour_field(phi.reshape(lat.Lx, lat.Ly), periodic).ravel()[sites]
+            H = np.zeros((len(sites), d, d), dtype=complex)
+            H[:, n, n] = onsite[sites]
+            off = -lat.J * np.conj(field)[:, None] * rt
+            H[:, lo, hi] = off
+            H[:, hi, lo] = np.conj(off)
+            w, v = np.linalg.eigh(H)
+            g = v[:, :, 0]
+            # fix the arbitrary eigenvector phase for determinism
+            k = np.argmax(np.abs(g), axis=1)
+            g = g * np.exp(-1j * np.angle(g[np.arange(len(sites)), k]))[:, None]
+            max_df = max(max_df, float(np.max(np.abs(g - f[sites]))))
+            max_de = max(max_de, float(np.max(np.abs(w[:, 0] - site_e[sites]))))
+            site_e[sites] = w[:, 0]
+            f[sites] = g
+            phi[sites] = np.einsum("sk,k,sk->s", np.conj(g[:, :-1]), rt, g[:, 1:])
+        if max_df < tol_f and max_de < tol_de:
+            return f.reshape(lat.Lx, lat.Ly, d), sweep, True
+    return f.reshape(lat.Lx, lat.Ly, d), max_sweeps, False
 
 
 def gutzwiller_minimize(lattice: BoseHubbardLattice, n_max: int = 6, seed: int = 0, restarts: int = 3, max_sweeps: int = 4000) -> GutzwillerState:
@@ -169,9 +218,15 @@ def gutzwiller_minimize(lattice: BoseHubbardLattice, n_max: int = 6, seed: int =
 
     Atomic-limit warm start plus ``restarts`` seeded random starts; the
     lowest-energy converged solution wins, ties broken by lowest total
-    particle number.  Raises NotConverged only if no start converges (the
-    best non-converged state is attached to the exception).
+    particle number.  Raises NotConverged only if no start converges; the
+    best non-converged state is attached to the exception as ``.state``.
     """
+    if n_max < 1:
+        raise ValidationError("n_max must be >= 1")
+    if restarts < 0:
+        raise ValidationError("restarts must be >= 0")
+    if max_sweeps < 1:
+        raise ValidationError("max_sweeps must be >= 1")
     rng = np.random.default_rng(seed)
     starts = [_atomic_limit_f(lattice, n_max)]
     for _ in range(restarts):
@@ -180,17 +235,15 @@ def gutzwiller_minimize(lattice: BoseHubbardLattice, n_max: int = 6, seed: int =
         starts.append(f)
 
     best = None
-    any_conv = False
     for f0 in starts:
         f, sweeps, ok = _sweep_to_convergence(lattice, f0, n_max, max_sweeps=max_sweeps)
         st = GutzwillerState(lattice=lattice, f=f, converged=ok, sweeps=sweeps)
-        key = (round(st.energy(), 9), round(st.total_particles, 9))
+        key = (not ok, round(st.energy(), 9), round(st.total_particles, 9))
         if best is None or key < best[0]:
             best = (key, st)
-        any_conv = any_conv or ok
     state = best[1]
-    if not any_conv:
-        raise NotConverged(f"no Gutzwiller start converged in {max_sweeps} sweeps")
+    if not state.converged:
+        raise NotConverged(f"no Gutzwiller start converged in {max_sweeps} sweeps", state=state)
     return state
 
 
@@ -198,14 +251,8 @@ def phase_classify(state: GutzwillerState, tol: float = 1e-3):
     """Per-site label: 'MI(n)' when the order parameter vanishes and the
     density is pinned to an integer n, else 'SF'."""
     rho = state.density
-    phi = np.abs(state.order_parameter)
-    labels = np.empty((state.lattice.Lx, state.lattice.Ly), dtype=object)
-    for i in range(state.lattice.Lx):
-        for j in range(state.lattice.Ly):
-            n = int(round(rho[i, j]))
-            if phi[i, j] < tol and abs(rho[i, j] - n) < tol:
-                labels[i, j] = f"MI({n})"
-            else:
-                labels[i, j] = "SF"
-    state.labels = labels
-    return labels
+    n = np.rint(rho).astype(int)
+    pinned = (np.abs(state.order_parameter) < tol) & (np.abs(rho - n) < tol)
+    names = np.array(["SF"] + [f"MI({k})" for k in range(state.n_max + 1)], dtype=object)
+    state.labels = names[np.where(pinned, n + 1, 0)]
+    return state.labels

@@ -133,3 +133,19 @@ def test_fidelity_curve_bad_kt_list_exits_2(tmp_path, kt_list):
     cfgp = tmp_path / "c.cfg"
     cfgp.write_text(f"kt_list={kt_list}\n")
     assert cli.main(["fidelity-curve", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["j=NaN", "mu=NaN", "u=NaN", "amplitude=Infinity", "period=NaN", "n_max=-1", "n_max=0", "lx=true", "u=true"],
+)
+def test_mott_bad_input_exits_2(tmp_path, line):
+    cfgp = tmp_path / "c.cfg"
+    cfgp.write_text(line + "\n")
+    assert cli.main(["mott", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_bool_for_int_key_exits_2(tmp_path):
+    cfgp = tmp_path / "c.cfg"
+    cfgp.write_text("n=true\n")
+    assert cli.main(["qc-ghz", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2
