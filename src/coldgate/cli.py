@@ -606,8 +606,17 @@ def _scn_fidelity_curve(cfg, outdir, seed):
     return 0
 
 
+def _int_in_range(cfg, key, lo, hi):
+    """cfg[key], which must lie in [lo, hi]."""
+    if not lo <= cfg[key] <= hi:
+        raise ValidationError(f"config key {key!r}: expected {lo} <= {key} <= {hi}, got {cfg[key]}")
+    return cfg[key]
+
+
 def _scn_qc_ramsey(cfg, outdir, seed):
-    phis = np.linspace(0.0, 2 * np.pi, cfg["n_phi"])
+    """Pair populations at n_phi phases from 0 to 2 pi; 2 <= n_phi <= 10000
+    (about 2 s at the cap)."""
+    phis = np.linspace(0.0, 2 * np.pi, _int_in_range(cfg, "n_phi", 2, 10_000))
     rows = []
     for phi in phis:
         out = qc.ramsey_sequence(qc.LatticeRegister.basis((1, 2), [0, 0]), float(phi))
@@ -647,7 +656,9 @@ def _scn_qc_ghz(cfg, outdir, seed):
 
 
 def _scn_qc_qft(cfg, outdir, seed):
-    m = cfg["m"]
+    """Sweep QFT against the DFT for all 2^m inputs.  The work grows as 4^m,
+    so 1 <= m <= 10 (about 2 s at the cap)."""
+    m = _int_in_range(cfg, "m", 1, 10)
     inputs = [[int(b) for b in format(a, f"0{m}b")] for a in range(2**m)]
     devs = [float(np.max(np.abs(qc.sweep_qft(bits)[0] - _bit_reversed_dft_column(bits)))) for bits in inputs]
     rows = [("".join(map(str, b)), d) for b, d in zip(inputs, devs)]

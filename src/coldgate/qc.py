@@ -7,10 +7,19 @@ adjacent (0,1) pair along rows/columns.  On top of these the module builds
 Ramsey interferometry, the 9-qubit Shor-code memory with its full syndrome
 table, a fault-tolerant CNOT between blocks, Armada parity checks, and the
 sweep constructions (GHZ, QFT).
+
+Gates work on views of the flat state: a single-site gate is one matrix
+product on the state viewed as (left, d, right); pair phases read digits
+from the basis index and, on qubits, count matching pairs by popcount, so
+a lattice shift costs a few passes however many pairs it phases.  User
+states have their norm checked; gate results reuse the geometry unchecked.
 """
 
 from __future__ import annotations
 
+import functools
+import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,10 +37,6 @@ Z_GATE = np.array([[1, 0], [0, -1]], dtype=complex)
 # which is what removes the sign of the block CNOT
 R90_GATE = H_GATE
 R270_GATE = X_GATE @ H_GATE
-
-
-def phase_gate(lam: float):
-    return np.array([[1, 0], [0, np.exp(1j * lam)]], dtype=complex)
 
 
 _NAMED_GATES = {
@@ -96,7 +101,15 @@ class LatticeRegister:
         return cls(shape=shape, sites=sites, dims=tuple(dims), state=state)
 
     def copy(self) -> "LatticeRegister":
-        return LatticeRegister(self.shape, self.sites, self.dims, self.state.copy())
+        return self._with_state(self.state.copy())
+
+    def _with_state(self, state) -> "LatticeRegister":
+        """Register of this geometry holding ``state``, a flat complex array
+        the engine computed from this register's state: the geometry and the
+        norm are not checked again."""
+        reg = object.__new__(LatticeRegister)
+        reg.shape, reg.sites, reg.dims, reg.state = self.shape, self.sites, self.dims, state
+        return reg
 
     # -- geometry helpers --------------------------------------------------
 
@@ -155,7 +168,13 @@ def normalized_global_phase(state):
 
 
 def single_qubit(reg: LatticeRegister, lattice_site: int, gate) -> LatticeRegister:
-    """Apply a 2x2 unitary (by name or matrix) to one occupied site."""
+    """Apply a 2x2 unitary (by name or matrix) to one occupied site.
+
+    The state is viewed as (left, d, right) around the site's axis and the
+    gate is one matrix product.  When fewer than 32 amplitudes lie right of
+    the site, a stack of that many tiny products is slow, so the view is
+    (left, d*right) times kron(U^T, 1_right) instead.
+    """
     if isinstance(gate, str):
         if gate not in _NAMED_GATES:
             raise ValidationError(f"unknown gate {gate!r}")
@@ -171,60 +190,87 @@ def single_qubit(reg: LatticeRegister, lattice_site: int, gate) -> LatticeRegist
     else:  # act on the {0,1} subspace of a 3-level site
         Ufull = np.eye(d, dtype=complex)
         Ufull[:2, :2] = U
-    t = reg.state.reshape(reg.dims)
-    t = np.moveaxis(np.tensordot(Ufull, t, axes=([1], [ax])), 0, ax)
-    return LatticeRegister(reg.shape, reg.sites, reg.dims, t.ravel())
+    right = math.prod(reg.dims[ax + 1 :])
+    if right >= 32:
+        out = Ufull @ reg.state.reshape(-1, d, right)
+    else:
+        out = reg.state.reshape(-1, d * right) @ np.kron(Ufull.T, np.eye(right))
+    return reg._with_state(out.reshape(-1))
 
 
-def _row_col(reg: LatticeRegister, lattice_site: int):
-    return divmod(lattice_site, reg.cols)
-
-
-def _pair_phase(reg: LatticeRegister, pairs_phi, sign=-1.0) -> LatticeRegister:
+def _pair_phase_condition(reg: LatticeRegister, pairs_phi, cond=(0, 1), sign=-1.0) -> LatticeRegister:
     """Diagonal phase: each (site_a, site_b, phi) contributes
-    exp(sign*i*phi) on basis states with digit(site_a)=0 and digit(site_b)=1."""
-    digs = reg.digits()
-    accum = np.zeros(reg.state.size)
-    for sa, sb, phi in pairs_phi:
-        da = digs[reg.axis_of_site(sa)]
-        db = digs[reg.axis_of_site(sb)]
-        accum = accum + phi * ((da == 0) & (db == 1))
-    return LatticeRegister(reg.shape, reg.sites, reg.dims, reg.state * np.exp(sign * 1j * accum))
+    exp(sign*i*phi) on basis states with digit(site_a) == cond[0] and
+    digit(site_b) == cond[1].
+
+    Digits are read from the basis index, only at the sites the pairs
+    touch.  On a register of qubits, with x and y the index or its
+    complement as cond asks, the pairs that share phi and the bit offset
+    between their sites are counted by one popcount of x & (y shifted by
+    the offset) & (their site_a bits).  The phase is looked up by count in
+    a table of exp(sign*i*phi*k), which for phi = pi is the real sign (-1)^k.
+    """
+    idx = np.arange(reg.state.size)
+    counts = {}  # phi -> per basis index, the number of pairs it phases
+    if all(d == 2 for d in reg.dims) and set(cond) <= {0, 1}:
+        x, y = (idx if c == 1 else ~idx for c in cond)
+        masks, seen = {}, Counter()
+        for sa, sb, phi in pairs_phi:
+            sh_a, sh_b = (reg.n - 1 - reg.axis_of_site(s) for s in (sa, sb))
+            key = (phi, sh_a - sh_b, seen[phi, sh_a, sh_b])  # a repeated pair goes in another mask
+            seen[phi, sh_a, sh_b] += 1
+            masks[key] = masks.get(key, 0) | 1 << sh_a
+        for (phi, off, _), mask in masks.items():
+            aligned = y << off if off >= 0 else y >> -off
+            c = np.bitwise_count(x & aligned & mask)  # uint8, at most n
+            counts[phi] = counts[phi] + c.astype(np.intp) if phi in counts else c
+    else:
+        strides = [math.prod(reg.dims[ax + 1 :]) for ax in range(reg.n)]
+
+        def digit(site):
+            ax = reg.axis_of_site(site)
+            return (idx // strides[ax]) % reg.dims[ax]
+
+        for sa, sb, phi in pairs_phi:
+            counts[phi] = counts.get(phi, 0) + ((digit(sa) == cond[0]) & (digit(sb) == cond[1]))
+    factor = 1
+    for phi, cnt in counts.items():
+        k = np.arange(cnt.max() + 1)
+        factor = factor * ((-1.0) ** k if phi == np.pi else np.exp(sign * 1j * phi * k))[cnt]
+    return reg._with_state(reg.state * factor)
 
 
-def _lx_pairs(reg: LatticeRegister, phases):
+# the unconditioned collision phase: (0, 1) pairs
+_pair_phase = _pair_phase_condition
+
+
+def _shift_pairs(reg: LatticeRegister, phases, vertical: bool):
+    """(site, neighbour, phi) for every occupied pair adjacent along a row,
+    or along a column when vertical; per-line phases are indexed by the
+    column (row when vertical) of the neighbour."""
     occ = set(reg.sites)
+    step = reg.cols if vertical else 1
     pairs = []
     for s in reg.sites:
-        r, c = _row_col(reg, s)
-        if c + 1 < reg.cols and (s + 1) in occ:
-            phi = phases[c + 1] if np.iterable(phases) else phases
-            pairs.append((s, s + 1, float(phi)))
-    return pairs
-
-
-def _ly_pairs(reg: LatticeRegister, phases):
-    occ = set(reg.sites)
-    pairs = []
-    for s in reg.sites:
-        r, c = _row_col(reg, s)
-        if r + 1 < reg.rows and (s + reg.cols) in occ:
-            phi = phases[r + 1] if np.iterable(phases) else phases
-            pairs.append((s, s + reg.cols, float(phi)))
+        r, c = divmod(s, reg.cols)
+        line, n_lines = (r, reg.rows) if vertical else (c, reg.cols)
+        if line + 1 < n_lines and s + step in occ:
+            phi = phases[line + 1] if np.iterable(phases) else phases
+            pairs.append((s, s + step, float(phi)))
     return pairs
 
 
 def apply_lx(reg: LatticeRegister, phases=np.pi) -> LatticeRegister:
     """Horizontal lattice shift: phase e^{-i phi} on every row-adjacent
     occupied pair with states (0, 1); empty sites contribute nothing."""
-    return _pair_phase(reg, _lx_pairs(reg, phases))
+    return _pair_phase(reg, _shift_pairs(reg, phases, vertical=False))
 
 
 def apply_ly(reg: LatticeRegister, phases=np.pi) -> LatticeRegister:
     """Vertical lattice shift (2D lattices only)."""
     if len(reg.shape) != 2:
         raise GeometryMismatch("apply_ly needs a 2D lattice")
-    return _pair_phase(reg, _ly_pairs(reg, phases))
+    return _pair_phase(reg, _shift_pairs(reg, phases, vertical=True))
 
 
 def measure(reg: LatticeRegister, lattice_sites, seed=None, rng=None):
@@ -251,7 +297,7 @@ def measure(reg: LatticeRegister, lattice_sites, seed=None, rng=None):
     for s in lattice_sites:
         pos = sorted(axes).index(reg.axis_of_site(s))
         out[s] = int(digs[pos])
-    return out, LatticeRegister(reg.shape, reg.sites, reg.dims, collapsed)
+    return out, reg._with_state(collapsed)
 
 
 # -- Ramsey interferometry and random filling ------------------------------
@@ -266,7 +312,7 @@ def ramsey_sequence(reg: LatticeRegister, phi: float) -> LatticeRegister:
     """
     for s in reg.sites:
         reg = single_qubit(reg, s, "H")
-    reg = _pair_phase(reg, _lx_pairs(reg, phi), sign=+1.0)
+    reg = _pair_phase(reg, _shift_pairs(reg, phi, vertical=False), sign=+1.0)
     for s in reg.sites:
         reg = single_qubit(reg, s, "H")
     return reg
@@ -320,21 +366,39 @@ def cluster_scaling_exponent(etas, counts, n_sites: int):
 # 3x3 block site layout (row-major):   0 1 2
 #                                      3 4 5
 #                                      6 7 8
-_OUTER = (0, 1, 2, 3, 5, 6, 7, 8)  # the eight syndrome atoms
-_ENC_H_STAGE1 = (0, 2, 3, 5, 6, 8)
-_ENC_X_STAGE1 = (2, 5, 8)
-_ENC_H_STAGE2 = (3, 4, 5)
-_ENC_H_STAGE3 = (3, 5)
+# the encoding layers in order: pulses on the listed sites, or a shift
+_ENCODING = (
+    ("H", (0, 1, 2, 3, 5, 6, 7, 8)),  # the eight syndrome atoms
+    ("LX", ()),
+    ("H", (0, 2, 3, 5, 6, 8)),
+    ("X", (2, 5, 8)),
+    ("LY", ()),
+    ("H", (3, 4, 5)),
+    ("LX", ()),
+    ("H", (3, 5)),
+)
+
+
+def _run_layers(reg: LatticeRegister, layers, lx_phase: float) -> LatticeRegister:
+    for gate, sites in layers:
+        if gate == "LX":
+            reg = apply_lx(reg, lx_phase)
+        elif gate == "LY":
+            reg = apply_ly(reg, np.pi)
+        for s in sites:
+            reg = single_qubit(reg, s, gate)
+    return reg
 
 
 def bare_block(alpha: complex, beta: complex) -> LatticeRegister:
-    """3x3 block with the central atom carrying alpha|0> + beta|1>."""
+    """3x3 block with the central atom carrying alpha|0> + beta|1>, normalised;
+    alpha and beta must be finite and not both zero."""
     nrm = np.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
-    reg = LatticeRegister.basis((3, 3), [0] * 9)
+    if not (np.isfinite(nrm) and nrm > 0):
+        raise ValidationError(f"alpha={alpha}, beta={beta}: need finite amplitudes, not both zero")
     state = np.zeros(512, dtype=complex)
-    state[0] = alpha / nrm
-    state[1 << (8 - 4)] = beta / nrm
-    return LatticeRegister((3, 3), reg.sites, reg.dims, state)
+    state[0], state[1 << (8 - 4)] = alpha / nrm, beta / nrm
+    return LatticeRegister((3, 3), tuple(range(9)), (2,) * 9, state)
 
 
 def shor_encode(reg: LatticeRegister, lx_phase: float = np.pi) -> LatticeRegister:
@@ -347,38 +411,13 @@ def shor_encode(reg: LatticeRegister, lx_phase: float = np.pi) -> LatticeRegiste
     """
     if reg.shape != (3, 3) or reg.n != 9:
         raise GeometryMismatch("shor_encode needs a fully occupied 3x3 block")
-    for s in _OUTER:
-        reg = single_qubit(reg, s, "H")
-    reg = apply_lx(reg, lx_phase)
-    for s in _ENC_H_STAGE1:
-        reg = single_qubit(reg, s, "H")
-    for s in _ENC_X_STAGE1:
-        reg = single_qubit(reg, s, "X")
-    reg = apply_ly(reg, np.pi)
-    for s in _ENC_H_STAGE2:
-        reg = single_qubit(reg, s, "H")
-    reg = apply_lx(reg, lx_phase)
-    for s in _ENC_H_STAGE3:
-        reg = single_qubit(reg, s, "H")
-    return reg
+    return _run_layers(reg, _ENCODING, lx_phase)
 
 
 def shor_decode(reg: LatticeRegister, lx_phase: float = np.pi) -> LatticeRegister:
-    """Inverse of shor_encode (every stage is self-inverse)."""
-    for s in _ENC_H_STAGE3:
-        reg = single_qubit(reg, s, "H")
-    reg = apply_lx(reg, lx_phase)
-    for s in _ENC_H_STAGE2:
-        reg = single_qubit(reg, s, "H")
-    reg = apply_ly(reg, np.pi)
-    for s in _ENC_X_STAGE1:
-        reg = single_qubit(reg, s, "X")
-    for s in _ENC_H_STAGE1:
-        reg = single_qubit(reg, s, "H")
-    reg = apply_lx(reg, lx_phase)
-    for s in _OUTER:
-        reg = single_qubit(reg, s, "H")
-    return reg
+    """Inverse of shor_encode: its layers in reverse order (each is
+    self-inverse)."""
+    return _run_layers(reg, _ENCODING[::-1], lx_phase)
 
 
 def logical_codewords():
@@ -455,11 +494,15 @@ def apply_pauli_error(reg: LatticeRegister, kind: str, atom: int) -> LatticeRegi
 
 
 def syndrome_table(alpha: complex = 1.0, beta: complex = 0.0, lx_phase: float = np.pi):
-    """All 27 single-Pauli syndromes: list of (error_label, syndrome, residual)."""
+    """All 27 single-Pauli syndromes: list of (error_label, syndrome, residual).
+
+    The block is encoded once; each error acts on that encoded block and
+    leaves it unchanged for the next one.
+    """
+    enc = shor_encode(bare_block(alpha, beta), lx_phase)
     rows = []
     for kind in ("x", "y", "z"):
         for atom in range(1, 10):
-            enc = shor_encode(bare_block(alpha, beta), lx_phase)
             err = apply_pauli_error(enc, kind, atom)
             rec = shor_decode_and_syndrome(err, alpha, beta, lx_phase)
             rows.append((f"s{kind},{atom}", rec.syndrome, rec.residual))
@@ -509,19 +552,6 @@ def ft_cnot(reg: LatticeRegister, exact_sign: bool = True) -> LatticeRegister:
     return reg
 
 
-def _pair_phase_condition(reg: LatticeRegister, pairs_phi, cond, sign=-1.0) -> LatticeRegister:
-    """Like _pair_phase but with an explicit (digit_a, digit_b) condition;
-    pairs are (site_a, site_b, phi) with phi applied when digit(site_a) ==
-    cond[0] and digit(site_b) == cond[1]."""
-    digs = reg.digits()
-    accum = np.zeros(reg.state.size)
-    for sa, sb, phi in pairs_phi:
-        da = digs[reg.axis_of_site(sa)]
-        db = digs[reg.axis_of_site(sb)]
-        accum = accum + phi * ((da == cond[0]) & (db == cond[1]))
-    return LatticeRegister(reg.shape, reg.sites, reg.dims, reg.state * np.exp(sign * 1j * accum))
-
-
 def armada_parity_check(block_state, kind: str = "spin-flip", seed=None):
     """Parity extraction with an armada of 3x2 Bell-pair ancillas.
 
@@ -536,42 +566,34 @@ def armada_parity_check(block_state, kind: str = "spin-flip", seed=None):
     block = np.asarray(block_state, dtype=complex).ravel()
     if block.size != 512:
         raise GeometryMismatch("armada_parity_check needs a 9-qubit block state")
+    if kind not in ("spin-flip", "phase-flip"):
+        raise ValidationError("kind must be 'spin-flip' or 'phase-flip'")
     rng = np.random.default_rng(seed)
+    reg0 = LatticeRegister((3, 3), tuple(range(9)), (2,) * 9, block)
 
     if kind == "spin-flip":
         bell = np.zeros(4)
         bell[0] = bell[3] = 1 / np.sqrt(2)
         anc = np.kron(np.kron(bell, bell), bell)
-        full = np.kron(block, anc)
-        reg = LatticeRegister((5, 3), tuple(range(15)), (2,) * 15, full)
         # ancilla sites 9..14: rows (9,10), (11,12), (13,14)
-        pairs = []
-        for row in range(3):
-            for col in range(2):
-                pairs.append((9 + 2 * row + col, 3 * row + col, np.pi))
-        reg = _pair_phase_condition(reg, pairs, cond=(0, 1))
-        for a in range(9, 15):
-            reg = single_qubit(reg, a, "H")
-        out, reg = measure(reg, list(range(9, 15)), rng=rng)
-        parities = tuple((out[9 + 2 * r] + out[10 + 2 * r]) % 2 for r in range(3))
-    elif kind == "phase-flip":
-        reg0 = LatticeRegister((3, 3), tuple(range(9)), (2,) * 9, block)
+        pairs = [(9 + 2 * row + col, 3 * row + col, np.pi) for row in range(3) for col in range(2)]
+    else:
         for s in range(9):
             reg0 = single_qubit(reg0, s, "H")
-        ghz = np.zeros(64)
-        ghz[0] = ghz[63] = 1 / np.sqrt(2)
-        full = np.kron(reg0.state, ghz)
-        reg = LatticeRegister((5, 3), tuple(range(15)), (2,) * 15, full)
+        anc = np.zeros(64)
+        anc[0] = anc[63] = 1 / np.sqrt(2)
         # the rotated codewords have deterministic parity only over complete
         # rows, so the GHZ armada probes the six atoms of the first two rows
         pairs = [(9 + k, k, np.pi) for k in range(6)]
-        reg = _pair_phase_condition(reg, pairs, cond=(0, 1))
-        for a in range(9, 15):
-            reg = single_qubit(reg, a, "H")
-        out, reg = measure(reg, list(range(9, 15)), rng=rng)
-        parities = (sum(out[a] for a in range(9, 15)) % 2,)
+    reg = LatticeRegister((5, 3), tuple(range(15)), (2,) * 15, np.kron(reg0.state, anc))
+    reg = _pair_phase_condition(reg, pairs, cond=(0, 1))
+    for a in range(9, 15):
+        reg = single_qubit(reg, a, "H")
+    out, reg = measure(reg, list(range(9, 15)), rng=rng)
+    if kind == "spin-flip":
+        parities = tuple((out[9 + 2 * r] + out[10 + 2 * r]) % 2 for r in range(3))
     else:
-        raise ValidationError("kind must be 'spin-flip' or 'phase-flip'")
+        parities = (sum(out.values()) % 2,)
 
     # strip the (now product) ancillas and, for phase-flip, undo the rotation
     t = reg.state.reshape(512, 64)
@@ -579,7 +601,7 @@ def armada_parity_check(block_state, kind: str = "spin-flip", seed=None):
     post = t[:, col]
     post = post / np.linalg.norm(post)
     if kind == "phase-flip":
-        pr = LatticeRegister((3, 3), tuple(range(9)), (2,) * 9, post)
+        pr = reg0._with_state(post)
         for s in range(9):
             pr = single_qubit(pr, s, "H")
         post = pr.state
@@ -598,19 +620,11 @@ def sweep(phases, phi0: float = 0.0) -> LatticeRegister:
     """
     phases = [float(p) for p in np.atleast_1d(phases)]
     N = len(phases)
-    dims = (3,) + (2,) * N
-    sel = np.zeros(3, dtype=complex)
-    sel[0] = sel[2] = 1 / np.sqrt(2)  # level 2 is the transport level r
-    state = sel
-    for _ in range(N):
-        state = np.kron(state, np.array([1, 1], dtype=complex) / np.sqrt(2))
-    reg = LatticeRegister((N + 1,), tuple(range(N + 1)), dims, state)
-    digs = reg.digits()
-    r_branch = digs[0] == 2
-    accum = np.zeros(reg.state.size)
-    for j in range(N):
-        accum += np.where(digs[1 + j] == 1, phases[j], phi0) * r_branch
-    return LatticeRegister(reg.shape, reg.sites, reg.dims, reg.state * np.exp(1j * accum))
+    # the string's state on each branch is a product, so the phases are too
+    plus = np.full(2**N, 2 ** (-N / 2), dtype=complex)
+    swept = functools.reduce(np.kron, [np.exp(1j * np.array([phi0, p])) / np.sqrt(2) for p in phases], np.ones(1))
+    state = np.concatenate([plus, 0 * plus, swept]) / np.sqrt(2)  # level 2 is the transport level r
+    return LatticeRegister((N + 1,), tuple(range(N + 1)), (3,) + (2,) * N, state)
 
 
 def ghz_from_sweep(N: int):
@@ -618,6 +632,8 @@ def ghz_from_sweep(N: int):
 
     Returns a 2^(N+1) statevector with the transport level relabeled |1>.
     """
+    if N < 1:
+        raise ValidationError(f"ghz_from_sweep needs N >= 1 string atoms, got {N!r}")
     reg = sweep([np.pi] * N)
     for j in range(1, N + 1):
         reg = single_qubit(reg, j, "H")
@@ -651,34 +667,6 @@ def sweep_qft(source_bits):
     for j in range(m):
         state = np.kron(state, np.array([1.0, amps1[j]], dtype=complex) / np.sqrt(2))
     return state, 0.0
-
-
-# -- second-level concatenation bookkeeping --------------------------------
-
-
-def sparse_block_pair_phase(bits_a, bits_b, phi: float = np.pi) -> complex:
-    """Collision phase factor for a level-2 shift of one 81-site block over
-    another, applied to a pair of sparse basis occupation patterns.
-
-    Each corresponding-atom pair with (x_a, x_b) = (0, 1) contributes
-    e^{-i phi}; patterns are dicts site->bit (missing sites are 0).
-    """
-    sites = set(bits_a) | set(bits_b)
-    count = sum(1 for s in sites if bits_a.get(s, 0) == 0 and bits_b.get(s, 0) == 1)
-    return complex(np.exp(-1j * phi * count))
-
-
-def sparse_shift(superposition, phi: float = np.pi):
-    """Apply the level-2 pairwise phase to a sparse two-block superposition.
-
-    ``superposition`` maps (pattern_a, pattern_b) keys to amplitudes, where
-    each pattern is a tuple of (site, bit) items; returns the phased dict.
-    """
-    out = {}
-    for (pa, pb), amp in superposition.items():
-        f = sparse_block_pair_phase(dict(pa), dict(pb), phi)
-        out[(pa, pb)] = amp * f
-    return out
 
 
 # -- circuit scripts -------------------------------------------------------

@@ -149,3 +149,25 @@ def test_bool_for_int_key_exits_2(tmp_path):
     cfgp = tmp_path / "c.cfg"
     cfgp.write_text("n=true\n")
     assert cli.main(["qc-ghz", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize(
+    "scenario, lines",
+    [
+        ("qc-ghz", ["n=-1"]),
+        ("qc-ghz", ["n=0"]),
+        ("qc-qft", ["m=0"]),
+        ("qc-qft", ["m=-2"]),
+        ("qc-qft", ["m=11"]),  # the 4^m work is capped at m = 10
+        ("qc-ramsey", ["n_phi=0"]),
+        ("qc-ramsey", ["n_phi=-3"]),
+        ("qc-ramsey", ["n_phi=10001"]),
+        ("qc-syndrome-table", ["alpha=0", "beta_re=0", "beta_im=0"]),
+        ("qc-syndrome-table", ["alpha=NaN"]),
+        ("qc-syndrome-table", ["beta_im=Infinity"]),
+    ],
+)
+def test_qc_bad_input_exits_2(tmp_path, scenario, lines):
+    cfgp = tmp_path / "c.cfg"
+    cfgp.write_text("\n".join(lines) + "\n")
+    assert cli.main([scenario, "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2

@@ -9,7 +9,9 @@ import os
 
 import pytest
 
-from coldgate import fidelity, mott
+import numpy as np
+
+from coldgate import fidelity, mott, qc
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -59,3 +61,28 @@ def test_tracer_reads_gutzwiller_sweeps(bench_modules):
     assert [sp["name"] for sp in records].count("mott.energy") == 4
     (top,) = [sp for sp in records if sp["name"] == "mott.gutzwiller_minimize"]
     assert top["attrs"] == {"sweeps": st.sweeps}
+
+
+def test_tracer_reads_qc_gates(bench_modules):
+    # the gate probe reads ``reg.state`` of the three gate functions, and
+    # ``qc.gate.*`` adds their spans, so no gate may run inside another
+    layers, spans = bench_modules
+    tracer = spans.Tracer("t")
+    restore = layers.install(tracer)
+    try:
+        enc = qc.shor_encode(qc.bare_block(0.6, 0.8j))
+        qc._pair_phase_condition(enc, [(0, 4, np.pi), (3, 5, 0.3)], cond=(1, 0))
+    finally:
+        restore()
+    assert qc._pair_phase is qc._pair_phase_condition
+    records = tracer.records()
+    by_id = {sp["id"]: sp for sp in records}
+    gates = [sp for sp in records if sp["name"] in layers.GATES]
+    assert {sp["name"] for sp in gates} == set(layers.GATES)
+    assert [sp["name"] for sp in gates].count("qc._pair_phase") == 3  # LX, LY, LX
+    for sp in gates:
+        assert sp["attrs"] == {"amplitudes": 512}
+        parent = sp["parent"]
+        while parent is not None:
+            assert by_id[parent]["name"] not in layers.GATES
+            parent = by_id[parent]["parent"]

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -68,6 +70,11 @@ def test_lattice_shift_phases():
     assert qc.apply_lx(reg10, 0.7).state[2] == pytest.approx(1.0)
     with pytest.raises(GeometryMismatch):
         qc.apply_ly(qc.LatticeRegister.basis((4,), [0] * 4), 0.7)
+    column = qc.LatticeRegister.basis((2, 1), [0, 1])  # one column: LY pairs, no LX pairs
+    assert qc.apply_ly(column, 0.7).state[1] == pytest.approx(np.exp(-0.7j))
+    assert qc.apply_lx(column, 0.7).state[1] == pytest.approx(1.0)
+    grid = qc.LatticeRegister.basis((2, 2), [0, 0, 1, 1])  # per-row phases index the lower row
+    assert qc.apply_ly(grid, [0.0, 0.4]).state[0b0011] == pytest.approx(np.exp(-0.8j))
 
 
 def test_measure_collapse_is_seeded():
@@ -77,6 +84,115 @@ def test_measure_collapse_is_seeded():
     assert out1 == out2
     assert np.allclose(post1.state, post2.state)
     assert abs(post1.state[int(np.argmax(np.abs(post1.state)))]) == pytest.approx(1.0)
+
+
+# -- the gate engine against dense operators --------------------------------
+
+
+def _tensordot_single_qubit(reg, site, U):
+    """single_qubit by tensordot and moveaxis over the full tensor."""
+    ax = reg.axis_of_site(site)
+    Ufull = np.eye(reg.dims[ax], dtype=complex)
+    Ufull[:2, :2] = U
+    t = np.moveaxis(np.tensordot(Ufull, reg.state.reshape(reg.dims), axes=([1], [ax])), 0, ax)
+    return t.ravel()
+
+
+def _dense_single_qubit(dims, ax, U):
+    """The gate on axis ax as a full matrix, a kron of identities and U."""
+    ops = [np.eye(d, dtype=complex) for d in dims]
+    ops[ax][:2, :2] = U
+    return functools.reduce(np.kron, ops)
+
+
+def _dense_pair_phase(dims, axis_pairs, cond, sign):
+    """The pair phases as a full diagonal matrix: each pair multiplies by
+    1 + (exp(sign i phi) - 1) P, P the kron of the two digit projectors."""
+    diag = np.ones(int(np.prod(dims)), dtype=complex)
+    for ax_a, ax_b, phi in axis_pairs:
+        factors = [np.ones(d) for d in dims]
+        factors[ax_a] = factors[ax_a] * (np.arange(dims[ax_a]) == cond[0])
+        factors[ax_b] = factors[ax_b] * (np.arange(dims[ax_b]) == cond[1])
+        diag *= 1 + (np.exp(sign * 1j * phi) - 1) * functools.reduce(np.kron, factors)
+    return np.diag(diag)
+
+
+_PHASES = st.one_of(st.just(np.pi), st.floats(-7.0, 7.0))
+
+
+@st.composite
+def _engine_programs(draw):
+    n = draw(st.integers(1, 6))
+    n_lattice = n + draw(st.integers(0, 2))
+    sites = tuple(sorted(draw(st.permutations(range(n_lattice)))[:n]))
+    if draw(st.booleans()):  # qubits only: the popcount path
+        dims = (2,) * n
+    else:
+        dims = tuple(draw(st.lists(st.sampled_from([2, 3]), min_size=n, max_size=n)))
+    site = st.sampled_from(sites)
+    digit = st.integers(0, 2)  # a digit a qubit never takes matches no pair
+    gate = st.one_of(st.sampled_from(sorted(qc._NAMED_GATES)), st.integers(0, 2**32 - 1))
+    phase_op = st.tuples(
+        st.lists(st.tuples(site, site, _PHASES), max_size=5),
+        st.tuples(digit, digit),
+        st.sampled_from([-1.0, 1.0]),
+    )
+    ops = draw(st.lists(st.one_of(st.tuples(st.just("gate"), site, gate), st.tuples(st.just("phase"), phase_op)), min_size=1, max_size=5))
+    return n_lattice, sites, dims, draw(st.integers(0, 2**32 - 1)), ops
+
+
+def _random_unitary(seed):
+    z = np.random.default_rng(seed).normal(size=(2, 2, 2)) @ [1, 1j]
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@given(_engine_programs())
+@settings(max_examples=150, deadline=None)
+def test_engine_matches_dense_operators(program):
+    n_lattice, sites, dims, seed, ops = program
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=int(np.prod(dims))) + 1j * rng.normal(size=int(np.prod(dims)))
+    reg = qc.LatticeRegister((n_lattice,), sites, dims, psi / np.linalg.norm(psi))
+    ref = reg.state.copy()
+    for op in ops:
+        before, saved = reg.state, reg.state.copy()
+        if op[0] == "gate":
+            _, site, gate = op
+            U = qc._NAMED_GATES[gate] if isinstance(gate, str) else _random_unitary(gate)
+            expect = _tensordot_single_qubit(reg, site, U)
+            reg = qc.single_qubit(reg, site, gate if isinstance(gate, str) else U)
+            assert np.max(np.abs(reg.state - expect)) <= 1e-12
+            ref = _dense_single_qubit(dims, reg.axis_of_site(site), U) @ ref
+        else:
+            pairs, cond, sign = op[1]
+            reg = qc._pair_phase_condition(reg, pairs, cond=cond, sign=sign)
+            axis_pairs = [(reg.axis_of_site(a), reg.axis_of_site(b), phi) for a, b, phi in pairs]
+            ref = _dense_pair_phase(dims, axis_pairs, cond, sign) @ ref
+        assert np.max(np.abs(reg.state - ref)) <= 1e-12
+        assert reg.state is not before and np.array_equal(before, saved)  # a new state; the input is untouched
+        assert reg.sites == sites and reg.dims == dims
+
+
+def test_pair_phase_is_the_01_condition():
+    reg = qc.single_qubit(qc.single_qubit(qc.LatticeRegister.basis((1, 3), [0, 0, 0]), 0, "H"), 2, "H")
+    pairs = [(0, 1, 0.3), (0, 2, np.pi), (2, 0, np.pi)]
+    ref = _dense_pair_phase((2, 2, 2), pairs, (0, 1), 1.0) @ reg.state
+    assert np.max(np.abs(qc._pair_phase(reg, pairs, sign=1.0).state - ref)) <= 1e-15
+
+
+def test_user_states_keep_the_norm_check():
+    with pytest.raises(ValidationError):
+        qc.LatticeRegister((1, 2), (0, 1), (2, 2), np.array([1.0, 1.0, 0.0, 0.0]))
+    s0, _ = qc.shor_codewords_standard()
+    with pytest.raises(ValidationError):
+        qc.two_block_register(2 * s0, s0)
+    with pytest.raises(ValidationError):
+        qc.bare_block(0.0, 0.0)
+    with pytest.raises(ValidationError):
+        qc.bare_block(np.nan, 1.0)
+    with pytest.raises(ValidationError):
+        qc.armada_parity_check(2 * s0, "spin-flip")
 
 
 # -- Ramsey and random filling --------------------------------------------
@@ -283,12 +399,6 @@ def test_sweep_phase_bookkeeping():
     swept = t[2]
     assert swept[1, 1] / base[1, 1] == pytest.approx(np.exp(1j * 1.0))
     assert swept[0, 0] / base[0, 0] == pytest.approx(1.0)
-
-
-def test_sparse_block_phase():
-    amp = qc.sparse_block_pair_phase({0: 0, 3: 1}, {0: 1, 3: 0}, np.pi)
-    # only site 0 has the (0, 1) collision pattern
-    assert amp == pytest.approx(np.exp(-1j * np.pi))
 
 
 def test_run_script_end_to_end():
