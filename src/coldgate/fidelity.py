@@ -29,7 +29,7 @@ from scipy.special import eval_laguerre
 
 from .errors import ValidationError
 from .moving import evolve_coherent
-from .switching import SingleParticleSeries, SwitchTimeSeries, cm_overlap_complex
+from .switching import SwitchTimeSeries, cm_overlap_complex
 from .traps import SwitchingConfig, Trajectory
 
 
@@ -245,7 +245,6 @@ def moving_channel(
 def switching_channel(
     cfg: SwitchingConfig,
     bb_series: SwitchTimeSeries,
-    b_series: SingleParticleSeries,
     tau: float | None = None,
     frame_tau: float | None = None,
     target_phase: float = np.pi,
@@ -255,23 +254,26 @@ def switching_channel(
     One-particle phases are absorbed by a fixed frame calibrated at
     ``frame_tau`` (default: tau itself); away from the calibration time the
     inter-channel phases drift at the channel energy differences, which is
-    what limits the timing precision.  The bb channel carries the
-    interacting relative-coordinate amplitude times the analytic
-    center-of-mass amplitude, compared against the target collisional
-    phase (pi).
+    what limits the timing precision.  The a atom stays in its well; the
+    released b atom's revival amplitude is the closed form
+    ``cm_overlap_complex`` at its well offset.  The bb channel carries the
+    interacting relative-coordinate amplitude of ``bb_series`` times the
+    closed-form center-of-mass amplitude (offset 0), compared against the
+    target collisional phase (pi).
     """
     if tau is None:
         tau = bb_series.tau
     if frame_tau is None:
         frame_tau = tau
     nu = cfg.omega0 / cfg.omega
+    x0 = cfg.x0 / cfg.units.length_si
     # one-particle frame phases, calibrated at frame_tau: the a atom is
     # stationary at energy nu/2, the b atom's phase is read off its
     # noninteracting revival amplitude
     lam_a = -0.5 * nu * frame_tau
-    lam_b = float(np.angle(b_series.amp_at(frame_tau)))
+    lam_b = float(np.angle(cm_overlap_complex(nu, 1.0, frame_tau, x0)))
     a_aa = np.exp(-1j * nu * tau)
-    a_ab = np.exp(-1j * 0.5 * nu * tau) * b_series.amp_at(tau)
+    a_ab = np.exp(-1j * 0.5 * nu * tau) * cm_overlap_complex(nu, 1.0, tau, x0)
     a_bb = cm_overlap_complex(nu, 1.0, tau) * bb_series.amp_init_at(tau)
     v_aa = a_aa * np.exp(-2j * lam_a)
     v_ab = a_ab * np.exp(-1j * (lam_a + lam_b))

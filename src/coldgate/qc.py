@@ -92,10 +92,13 @@ class LatticeRegister:
         sites = tuple(range(n_lattice)) if mask is None else tuple(int(s) for s in np.flatnonzero(np.asarray(mask).ravel()))
         if dims is None:
             dims = (2,) * len(sites)
+        bits = [int(b) for b in bits]
+        if len(bits) != len(sites) or not all(0 <= b < d for b, d in zip(bits, dims)):
+            raise ValidationError(f"basis needs one digit per occupied site, each below its level count {tuple(dims)}; got {bits}")
         D = int(np.prod(dims)) if dims else 1
         idx = 0
         for b, d in zip(bits, dims):
-            idx = idx * d + int(b)
+            idx = idx * d + b
         state = np.zeros(D, dtype=complex)
         state[idx] = 1.0
         return cls(shape=shape, sites=sites, dims=tuple(dims), state=state)
@@ -150,9 +153,6 @@ class LatticeRegister:
         keep = sorted(axes)
         other = tuple(a for a in range(self.n) if a not in keep)
         return t.sum(axis=other) if other else t
-
-    def fidelity_with(self, other_state) -> float:
-        return float(np.abs(np.vdot(np.asarray(other_state).ravel(), self.state)) ** 2)
 
 
 def normalized_global_phase(state):
@@ -620,6 +620,8 @@ def sweep(phases, phi0: float = 0.0) -> LatticeRegister:
     """
     phases = [float(p) for p in np.atleast_1d(phases)]
     N = len(phases)
+    if N + 1 > MAX_QUBITS:  # refuse before the 2^N arrays are built
+        raise ValidationError(f"register capped at {MAX_QUBITS} sites, the sweep needs {N + 1}")
     # the string's state on each branch is a product, so the phases are too
     plus = np.full(2**N, 2 ** (-N / 2), dtype=complex)
     swept = functools.reduce(np.kron, [np.exp(1j * np.array([phi0, p])) / np.sqrt(2) for p in phases], np.ones(1))

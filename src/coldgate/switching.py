@@ -2,8 +2,9 @@
 
 The barrier of a state-selective double well is switched off for state b;
 the two b atoms oscillate through each other and accumulate an interaction
-phase.  Center-of-mass motion is analytic; the relative coordinate is
-propagated on a 1D grid with a regularized contact term.  The (a,b) channel
+phase.  Center-of-mass motion, like that of one released b atom, is
+analytic (``cm_overlap_complex``); the relative coordinate is propagated
+on a 1D grid with a regularized contact term.  The (a,b) channel
 needs the full 2D two-particle grid and does not revive.
 
 Every grid propagation in the package, here and in the transport oracle of
@@ -31,20 +32,37 @@ from .errors import ConvergenceFailure, NormLoss, ValidationError
 from .traps import HBAR, SwitchingConfig
 
 
-def cm_overlap_complex(omega0: float, omega: float, t):
-    """Complex overlap <psi_cm(0)|psi_cm(t)> of the center-of-mass Gaussian
-    (initial frequency omega0) evolving in the omega trap.
+def cm_overlap_complex(omega0: float, omega: float, t, x0: float = 0.0):
+    """Complex overlap <psi(0)|psi(t)> of the ground-state Gaussian of a
+    well of frequency omega0 centred at ``x0`` (in units of the omega
+    trap's oscillator length), released into the omega trap.  At x0 = 0
+    this is the center-of-mass amplitude of the (b,b) gate; at the well
+    offset it is the revival amplitude of one released b atom.
 
     Closed form [cos(wt) + i (w0^2+w^2)/(2 w0 w) sin(wt)]^{-1/2}, with the
-    branch of the square root tracked continuously in t.
+    branch of the square root tracked continuously in t, times exp(E(t)).
+    E is the x0^2-proportional exponent of the Gaussian overlap integral
+    with Heller's packet exp(i A (x-q)^2/2 + i p (x-q) + i S) (J. Chem.
+    Phys. 62, 1544 (1975)): width A_t = (i nu cos wt - sin wt) /
+    (i nu sin wt + cos wt) with nu = w0/w, centre q = x0 cos wt, momentum
+    p = -x0 sin wt and action S = -x0^2 sin(2wt)/4.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
+    nu, cos, sin = omega0 / omega, np.cos(omega * t), np.sin(omega * t)
     c = (omega0**2 + omega**2) / (2 * omega0 * omega)
-    z = np.cos(omega * t) + 1j * c * np.sin(omega * t)
+    z = cos + 1j * c * sin
     # z traces an ellipse at rate omega; z e^{-i omega t} stays in the right
     # half plane, so the continuous phase is omega*t plus a bounded angle
     ph = omega * t + np.angle(z * np.exp(-1j * omega * t))
     out = np.abs(z) ** (-0.5) * np.exp(-0.5j * ph)
+    A = (1j * nu * cos - sin) / (1j * nu * sin + cos)
+    q, p, S = x0 * cos, -x0 * sin, -(x0**2) * np.sin(2 * omega * t) / 4
+    # int exp(-a x^2 + b x + e) dx = sqrt(pi/a) exp(b^2/(4a) + e); the
+    # sqrt(pi/a) is the x0 = 0 factor above
+    a = (nu - 1j * A) / 2
+    b = nu * x0 - 1j * A * q + 1j * p
+    e = -nu * x0**2 / 2 + 1j * A * q**2 / 2 - 1j * p * q + 1j * S
+    out = out * np.exp(b**2 / (4 * a) + e)
     return out if out.size > 1 else complex(out[0])
 
 
@@ -107,8 +125,9 @@ class TwoParticleGrid:
     dt: float
 
     def __post_init__(self):
-        if self.N < 16 or self.L <= 0 or self.dt <= 0:
-            raise ValidationError("bad grid parameters")
+        positive = all(np.isfinite(v) and v > 0 for v in (self.L, self.dt))
+        if self.N < 16 or not positive:
+            raise ValidationError(f"bad grid: need N >= 16 and finite L, dt > 0, got N={self.N}, L={self.L}, dt={self.dt}")
 
     @property
     def dx(self) -> float:
@@ -179,14 +198,11 @@ class SwitchTimeSeries:
     overlap_ref: np.ndarray
     overlap_init: np.ndarray
     amp_init: np.ndarray
-    amp_init_ref: np.ndarray
     period: float
     deltaT: float
     tau: float
     phase_final: float
     revival: float
-    channel: str = "bb"
-    non_revival: bool = False
     revival_times: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     def phase_at(self, t: float) -> float:
@@ -194,9 +210,6 @@ class SwitchTimeSeries:
 
     def amp_init_at(self, t: float) -> complex:
         return complex(np.interp(t, self.t, self.amp_init.real) + 1j * np.interp(t, self.t, self.amp_init.imag))
-
-    def amp_init_ref_at(self, t: float) -> complex:
-        return complex(np.interp(t, self.t, self.amp_init_ref.real) + 1j * np.interp(t, self.t, self.amp_init_ref.imag))
 
 
 def _refine_peak(t, y, idx):
@@ -284,6 +297,10 @@ def propagate(
         raise ValidationError("the (a,a) channel has no dynamics: both atoms stay in their wells")
     if n_periods < 1:
         raise ValidationError("n_periods must be >= 1")
+    if steps_per_period < 1:
+        raise ValidationError(f"steps_per_period must be >= 1, got {steps_per_period!r}")
+    if not (np.isfinite(sigma_reg) and sigma_reg > 0):
+        raise ValidationError(f"sigma_reg must be finite and > 0, got {sigma_reg!r}")
 
     period = 2 * np.pi
     dt = period / steps_per_period
@@ -296,14 +313,16 @@ def propagate(
     psi0, half = _bb_problem(cfg, grid.x, dt, g_tilde, sigma_reg)
 
     n_steps = int(round((n_periods + 0.1) * steps_per_period))
-    # rows: <psi0|psi>, <psi0|ref>, <ref|psi> at every step
-    amp = np.empty((3, n_steps + 1), dtype=complex)
+    # rows: <psi0|psi>, <ref|psi> at every step
+    amp = np.empty((2, n_steps + 1), dtype=complex)
     psi0 = psi0.astype(complex)
 
     def recorder(out):
         def observe(s, stack):
-            out[:2, s] = stack @ psi0 * dx
-            out[2, s] = np.vdot(stack[1], stack[0]) * dx
+            # not stack[0] @ psi0: BLAS rounds the two differently, and
+            # the written series keep this product's last digits
+            out[0, s] = (stack @ psi0)[0] * dx
+            out[1, s] = np.vdot(stack[1], stack[0]) * dx
 
         return observe
 
@@ -313,17 +332,17 @@ def propagate(
     first = steps_per_period if check_convergence else n_steps
     _split_step(stack, half, dt, dx, first, every=1, observe=recorder(amp))
     if check_convergence:
-        p1 = float(-np.angle(amp[2, first]))
+        p1 = float(-np.angle(amp[1, first]))
         p2 = _propagate_bb_once(cfg, TwoParticleGrid(L=L, N=2 * N, dt=dt), g_tilde, sigma_reg, 1, steps_per_period)
-        if abs(p1 - p2) > 1e-3:
+        if not abs(p1 - p2) <= 1e-3:  # NaN fails too
             raise ConvergenceFailure(f"phase changes by {abs(p1 - p2):.2e} rad when halving dx")
         _split_step(stack, half, dt, dx, n_steps - first, every=1, observe=recorder(amp[:, first:]))
 
-    if abs(_norm(stack[0], dx) - 1.0) > 1e-6:
+    if not abs(_norm(stack[0], dx) - 1.0) <= 1e-6:
         raise NormLoss(f"norm drifted to {_norm(stack[0], dx):.8f}")
 
     t = np.arange(n_steps + 1) * dt
-    a_init, a_init_ref, a_ref = amp
+    a_init, a_ref = amp
     phase = -np.unwrap(np.angle(a_ref))
     ov_init = np.abs(a_init) ** 2
     deltaT, peaks = _extract_revivals(t, ov_init, period, n_periods)
@@ -335,13 +354,11 @@ def propagate(
         overlap_ref=np.abs(a_ref) ** 2,
         overlap_init=ov_init,
         amp_init=a_init,
-        amp_init_ref=a_init_ref,
         period=period,
         deltaT=deltaT,
         tau=tau,
         phase_final=float(np.interp(tau, t, phase)),
         revival=float(revival),
-        channel="bb",
         revival_times=np.array([p[1] for p in peaks]),
     )
 
@@ -366,9 +383,10 @@ def propagate_ab(
     """Full 2D (x1, x2) propagation of the (a,b) channel.
 
     The a atom stays in its double well while the b atom oscillates through
-    the merged well; the joint state does not return to itself, so the
-    series is flagged non-revival.  Single-particle oscillator units of the
-    merged well.  The state and its g=0 reference are sampled every 4 steps.
+    the merged well; the joint state does not return to itself, so its
+    revival fields only describe the sampled overlap.  Single-particle
+    oscillator units of the merged well.  The state and its g=0 reference
+    are sampled every 4 steps.
     """
     period = 2 * np.pi
     dt = period / steps_per_period
@@ -393,22 +411,22 @@ def propagate_ab(
 
     n_steps = int(round((n_periods + 0.1) * steps_per_period))
     every = 4
-    # rows: <psi0|psi>, <psi0|ref>, <ref|psi> at every 4th step
-    amp = np.ones((3, n_steps // every + 1), dtype=complex)
+    # rows: <psi0|psi>, <ref|psi> at every 4th step
+    amp = np.ones((2, n_steps // every + 1), dtype=complex)
 
     def observe(s, stack):
         psi, ref = stack
-        amp[:, s // every] = (np.vdot(psi0, psi) * dx * dx, np.vdot(psi0, ref) * dx * dx, np.vdot(ref, psi) * dx * dx)
+        amp[:, s // every] = (np.vdot(psi0, psi) * dx * dx, np.vdot(ref, psi) * dx * dx)
 
     stack = np.stack([psi0, psi0])
     _split_step(stack, np.exp(-0.5j * dt * np.stack([V, V0])), dt, dx, n_steps, every=every, observe=observe)
 
     nrm = float(np.sum(np.abs(stack[0]) ** 2) * dx * dx)
-    if abs(nrm - 1.0) > 1e-6:
+    if not abs(nrm - 1.0) <= 1e-6:
         raise NormLoss(f"norm drifted to {nrm:.8f}")
 
     t = np.arange(0, n_steps + 1, every) * dt
-    a_init, a_init_ref, a_ref = amp
+    a_init, a_ref = amp
     phase = -np.unwrap(np.angle(a_ref))
     ov_init = np.abs(a_init) ** 2
     deltaT, peaks = _extract_revivals(t, ov_init, period, n_periods)
@@ -419,28 +437,13 @@ def propagate_ab(
         overlap_ref=np.abs(a_ref) ** 2,
         overlap_init=ov_init,
         amp_init=a_init,
-        amp_init_ref=a_init_ref,
         period=period,
         deltaT=deltaT,
         tau=tau,
         phase_final=float(np.interp(tau, t, phase)),
         revival=float(np.interp(tau, t, ov_init)),
-        channel="ab",
-        non_revival=True,
         revival_times=np.array([p[1] for p in peaks]),
     )
-
-
-@dataclass
-class SingleParticleSeries:
-    """Revival amplitude <psi(0)|psi(t)> of one b atom released into the
-    merged well (no partner, no interaction)."""
-
-    t: np.ndarray
-    amp: np.ndarray
-
-    def amp_at(self, t: float) -> complex:
-        return complex(np.interp(t, self.t, self.amp.real) + 1j * np.interp(t, self.t, self.amp.imag))
 
 
 def _release_amplitudes(nu0, x0, N, L, steps_per_period, n_steps):
@@ -459,22 +462,6 @@ def _release_amplitudes(nu0, x0, N, L, steps_per_period, n_steps):
 
     _split_step(psi0[None].copy(), np.exp(-0.25j * dt * x**2), dt, grid.dx, n_steps, every=1, observe=observe)
     return np.arange(n_steps + 1) * dt, amps
-
-
-def propagate_single_b(
-    cfg: SwitchingConfig,
-    n_periods: float = 7.2,
-    N: int = 1024,
-    L: float = 24.0,
-    steps_per_period: int = 2000,
-) -> SingleParticleSeries:
-    """Revival amplitude series of one b atom released from its initial well
-    into the merged well, sampled at every step."""
-    x0 = cfg.x0 / cfg.units.length_si
-    nu0 = cfg.omega0 / cfg.omega
-    n_steps = int(round(n_periods * steps_per_period))
-    t, amp = _release_amplitudes(nu0, x0, N, L, steps_per_period, n_steps)
-    return SingleParticleSeries(t=t, amp=amp)
 
 
 @dataclass(frozen=True)

@@ -39,10 +39,6 @@ class OscUnits:
         return float(np.sqrt(HBAR / (self.m_si * self.omega_si)))
 
     @property
-    def time_si(self) -> float:
-        return 1.0 / self.omega_si
-
-    @property
     def energy_si(self) -> float:
         return HBAR * self.omega_si
 
@@ -168,12 +164,6 @@ class Trajectory:
             return self.dx(t)
         h = 1e-6 * max(self.tau, 1.0)
         return (np.asarray(self.x(t + h)) - np.asarray(self.x(t - h))) / (2 * h)
-
-    def acceleration(self, t):
-        if self.d2x is not None:
-            return self.d2x(t)
-        h = 1e-5 * max(self.tau, 1.0)
-        return (np.asarray(self.x(t + h)) - 2 * np.asarray(self.x(t)) + np.asarray(self.x(t - h))) / h**2
 
     def derivative(self, n: int):
         """n-th time derivative as a callable; analytic if available."""

@@ -15,12 +15,7 @@ def bb_series(ref_cfg):
 
 
 @pytest.fixture(scope="session")
-def b_series(ref_cfg):
-    return switching.propagate_single_b(ref_cfg)
-
-
-@pytest.fixture(scope="session")
-def accept_ctx(ref_cfg, bb_series, b_series):
+def accept_ctx(ref_cfg, bb_series):
     ctx = cli.AcceptContext(seed=0)
-    ctx._cache.update({"cfg": ref_cfg, "bb": bb_series, "b": b_series})
+    ctx._cache.update({"cfg": ref_cfg, "bb": bb_series})
     return ctx

@@ -1,6 +1,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from coldgate import cli
@@ -171,3 +172,40 @@ def test_qc_bad_input_exits_2(tmp_path, scenario, lines):
     cfgp = tmp_path / "c.cfg"
     cfgp.write_text("\n".join(lines) + "\n")
     assert cli.main([scenario, "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize(
+    "scenario, line",
+    [
+        ("gate-switching", "steps_per_period=0"),
+        ("gate-switching", "max_csv_rows=0"),
+        ("gate-switching", "max_csv_rows=-1"),
+        ("gate-switching", "sigma_reg=0"),
+        ("gate-switching", "sigma_reg=NaN"),
+        ("gate-switching", "grid_l=NaN"),
+        ("gate-moving", "a_s=100"),  # outside the perturbative model
+        ("qc-ghz", "n=30"),  # 31 sites, refused before 2^30 amplitudes are built
+    ],
+)
+def test_bad_input_exits_2(tmp_path, scenario, line):
+    cfgp = tmp_path / "c.cfg"
+    cfgp.write_text(line + "\n")
+    assert cli.main([scenario, "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2
+
+
+def _bit_reversed_dft_column_loop(a_bits):
+    """Per-entry reordering by reversed binary strings."""
+    m = len(a_bits)
+    a = int("".join(str(b) for b in a_bits), 2)
+    col = np.exp(2j * np.pi * a * np.arange(2**m) / 2**m) / np.sqrt(2**m)
+    out = np.zeros_like(col)
+    for i in range(2**m):
+        out[int(format(i, f"0{m}b")[::-1], 2)] = col[i]
+    return out
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_bit_reversed_dft_column_matches_loop(m):
+    for a in {0, 1, 2**m - 1, (2**m) // 3, 2 ** (m - 1)}:
+        bits = [int(b) for b in format(a, f"0{m}b")]
+        assert np.array_equal(cli._bit_reversed_dft_column(bits), _bit_reversed_dft_column_loop(bits))

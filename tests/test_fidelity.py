@@ -75,8 +75,8 @@ def test_moving_channel_monotone_in_temperature():
     assert all(fs[i + 1] <= fs[i] + 1e-12 for i in range(3))
 
 
-def test_switching_channel_reference_point(ref_cfg, bb_series, b_series):
-    chan = fidelity.switching_channel(ref_cfg, bb_series, b_series, tau=bb_series.tau, frame_tau=bb_series.tau)
+def test_switching_channel_reference_point(ref_cfg, bb_series):
+    chan = fidelity.switching_channel(ref_cfg, bb_series, tau=bb_series.tau, frame_tau=bb_series.tau)
     vs = chan.overlaps(0, 0)
     assert set(vs) == {"aa", "ab", "bb"}
     # frame calibration makes the one-particle channels pure-amplitude
@@ -87,9 +87,9 @@ def test_switching_channel_reference_point(ref_cfg, bb_series, b_series):
     assert f > 0.98
 
 
-def test_timing_sensitivity_shape(ref_cfg, bb_series, b_series):
+def test_timing_sensitivity_shape(ref_cfg, bb_series):
     def factory(tau):
-        return fidelity.switching_channel(ref_cfg, bb_series, b_series, tau=tau, frame_tau=bb_series.tau)
+        return fidelity.switching_channel(ref_cfg, bb_series, tau=tau, frame_tau=bb_series.tau)
 
     curve = fidelity.timing_sensitivity(factory, bb_series.tau, delta=2e-3, n_side=6, symmetrized=True)
     assert len(curve.offsets) == 13

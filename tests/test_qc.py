@@ -31,6 +31,29 @@ def test_partial_occupation_mask():
 def test_register_capacity_cap():
     with pytest.raises(ValidationError):
         qc.LatticeRegister.basis((21,), [0] * 21)
+    # the selected atom makes 21 sites; refused before any state is built
+    with pytest.raises(ValidationError, match="sweep needs 21"):
+        qc.sweep([np.pi] * 20)
+
+
+@pytest.mark.parametrize(
+    "shape, bits, dims",
+    [
+        ((3,), [0, 1], None),  # fewer digits than sites
+        ((2,), [0, 1, 1], None),  # more digits than sites
+        ((2,), [1, 2], None),  # 2 is not a qubit digit
+        ((2,), [-1, 0], None),
+        ((2,), [3, 0], (3, 2)),  # 3 is not a digit of a 3-level site
+    ],
+)
+def test_basis_rejects_bad_digits(shape, bits, dims):
+    with pytest.raises(ValidationError):
+        qc.LatticeRegister.basis(shape, bits, dims=dims)
+
+
+def test_basis_three_level_digit():
+    reg = qc.LatticeRegister.basis((2,), [2, 1], dims=(3, 2))
+    assert reg.state[2 * 2 + 1] == 1.0
 
 
 def test_probabilities_marginal():
@@ -419,3 +442,5 @@ def test_run_script_end_to_end():
     assert set(out) == {0, 1}
     with pytest.raises(ValidationError):
         qc.run_script("FROB 1")
+    with pytest.raises(ValidationError):
+        qc.run_script("INIT 3 01")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from coldgate import switching, traps
-from coldgate.errors import ConvergenceFailure, ValidationError
+from coldgate.errors import ConvergenceFailure, NormLoss, ValidationError
 
 
 def test_cm_overlap_modulus_matches_analytic():
@@ -78,6 +78,34 @@ def test_propagate_resolution_precheck(ref_cfg):
         switching.propagate(ref_cfg, ("b", "b"), n_periods=1, N=64, steps_per_period=200)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"steps_per_period": 0},
+        {"steps_per_period": -5},
+        {"sigma_reg": 0.0},
+        {"sigma_reg": np.nan},
+        {"sigma_reg": np.inf},
+        {"L": np.nan},
+    ],
+)
+def test_propagate_rejects_bad_numbers(ref_cfg, kwargs):
+    with pytest.raises(ValidationError):
+        switching.propagate(ref_cfg, ("b", "b"), n_periods=1, N=64, **kwargs)
+
+
+def test_nan_fails_precheck_and_norm_check(ref_cfg):
+    # sigma_reg = 1e-320 passes validation, but the contact term is NaN at
+    # x = 0 (0/0), so the whole state becomes NaN
+    with np.errstate(all="ignore"):
+        with pytest.raises(ConvergenceFailure):
+            switching.propagate(ref_cfg, ("b", "b"), n_periods=1, N=64, steps_per_period=200, sigma_reg=1e-320)
+        with pytest.raises(NormLoss):
+            switching.propagate(
+                ref_cfg, ("b", "b"), n_periods=1, N=64, steps_per_period=200, sigma_reg=1e-320, check_convergence=False
+            )
+
+
 def test_noninteracting_reference_revives(ref_cfg):
     ser = switching.propagate(
         ref_cfg, ("b", "b"), n_periods=1, N=512, steps_per_period=500, interacting=False, check_convergence=False
@@ -101,9 +129,48 @@ def test_series_interpolators(bb_series):
     assert abs(amp) ** 2 == pytest.approx(bb_series.revival, abs=5e-4)
 
 
-def test_single_particle_series(b_series):
-    assert b_series.amp_at(0.0) == pytest.approx(1.0 + 0j, abs=1e-9)
-    assert np.max(np.abs(b_series.amp)) <= 1.0 + 1e-9
+def _centred_overlap(omega0, omega, t):
+    """The x0 = 0 closed form as written before the well offset was added."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    c = (omega0**2 + omega**2) / (2 * omega0 * omega)
+    z = np.cos(omega * t) + 1j * c * np.sin(omega * t)
+    ph = omega * t + np.angle(z * np.exp(-1j * omega * t))
+    out = np.abs(z) ** (-0.5) * np.exp(-0.5j * ph)
+    return out if out.size > 1 else complex(out[0])
+
+
+def test_released_gaussian_centred_case_unchanged():
+    t = np.linspace(0, 8 * np.pi, 2001)
+    for nu in (0.5, 1.0, 2.0, 3.7):
+        assert np.array_equal(switching.cm_overlap_complex(nu, 1.0, t), _centred_overlap(nu, 1.0, t))
+        assert switching.cm_overlap_complex(nu, 1.0, 1.3, 0.0) == _centred_overlap(nu, 1.0, 1.3)
+
+
+@pytest.mark.parametrize("N, steps, tol", [(1024, 2000, 5e-5), (2048, 8000, 3e-6)])
+def test_released_gaussian_matches_grid(N, steps, tol):
+    # the split-step grid converges to the closed form as dt^2
+    x0 = 3 * np.sqrt(2)
+    t, amps = switching._release_amplitudes(2.0, x0, N, 24.0, steps, steps)
+    assert np.max(np.abs(switching.cm_overlap_complex(2.0, 1.0, t, x0) - amps)) <= tol
+
+
+def test_released_gaussian_revives(ref_cfg):
+    # the production b atom over the span the gate's timing scan reaches,
+    # and a narrower, a wider and a coherent packet on either side
+    nu, x0 = ref_cfg.omega0 / ref_cfg.omega, ref_cfg.x0 / ref_cfg.units.length_si
+    t = np.linspace(0, 7.2 * 2 * np.pi, 20001)
+    for nu, x0 in ((nu, x0), (0.5, 2.0), (3.0, -1.0), (1.0, 1.5)):
+        assert switching.cm_overlap_complex(nu, 1.0, 0.0, x0) == pytest.approx(1.0 + 0j, abs=1e-12)
+        assert switching.cm_overlap_complex(nu, 1.0, 2 * np.pi, x0) == pytest.approx(-1.0 + 0j, abs=1e-12)
+        assert np.max(np.abs(switching.cm_overlap_complex(nu, 1.0, t, x0))) <= 1.0 + 1e-12
+
+
+def test_released_coherent_state_overlap():
+    # nu = 1 is a coherent state of |alpha|^2 = x0^2/2 with zero-point phase
+    t = np.linspace(0, 3 * np.pi, 301)
+    x0 = 1.5
+    expected = np.exp(-0.5j * t) * np.exp(-(x0**2) / 2 * (1 - np.exp(-1j * t)))
+    assert np.max(np.abs(switching.cm_overlap_complex(1.0, 1.0, t, x0) - expected)) <= 1e-12
 
 
 def test_net_phase_transverse_displacement(ref_cfg, bb_series):
@@ -117,5 +184,8 @@ def test_net_phase_transverse_displacement(ref_cfg, bb_series):
 def test_grid_validation():
     with pytest.raises(ValidationError):
         switching.TwoParticleGrid(L=32.0, N=8, dt=1e-3)
+    for L in (np.nan, np.inf, 0.0, -1.0):
+        with pytest.raises(ValidationError):
+            switching.TwoParticleGrid(L=L, N=64, dt=1e-3)
     with pytest.raises(ValidationError):
         switching.cm_overlap_analytic(-1.0, 1.0, 0.5)
