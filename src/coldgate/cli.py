@@ -104,68 +104,116 @@ def _resolve(defaults: dict, overrides: dict) -> dict:
 
 
 def _moving_well_kicks(x, dx, dt, centre):
-    """Kicks of ``switching._split_step`` for the moving well
-    V_s = (x - a_s)^2/2, where a_s = ``centre(s)`` is the well centre at the
-    midpoint of step s, for an array of step indices s.
+    """Kicks of ``switching._split_step`` for a stack of k moving wells
+    V_s = (x - a_s)^2/2, one per row, where a_s is the well centre at the
+    midpoint of step s.  ``dt`` is a scalar or a (k, 1) column of per-row
+    steps, and ``centre(s)`` returns the centres of each row for an array of
+    step indices s, shape (k, len(s)), or (len(s),) for one row.
 
     The half kicks of steps s-1 and s fuse to exp(-i dt x^2/2) times
     exp(i dt (a_{s-1} + a_s) x/2) times a scalar phase; the scalar phases of
     a segment are applied together with its closing kick.  Since
     x_{32 q + r} = x_{32 q} + r dx, each linear phase exp(i c x) is the
     outer product of two short exponentials, one over q and one over r < 32.
-    Centres and fused kicks are computed one table of at most 256 KiB at a
-    time, so memory does not grow with the number of steps.
+    Centres and fused kicks are computed one table of at most 256 KiB, for
+    all rows together, at a time, in one buffer that each table reuses, so
+    memory grows neither with the number of steps nor with k.  A fused kick
+    is therefore only valid until the next factor is drawn, which is how
+    the kernel uses it.
     """
-    n_x, block = len(x), 32
+    dt = np.reshape(dt, (-1, 1))
+    n_x, block, n_rows = len(x), 32, len(dt)
     xq, xr = x[::block], np.arange(block) * dx
     quad_full = np.exp(-0.5j * dt * x**2)
     quad_half = np.exp(-0.25j * dt * x**2)
-    rows = max(1, 2**18 // (16 * len(xq) * block))
+    half_dt = 0.5 * dt[:, 0]
+    rows = max(1, 2**18 // (16 * len(xq) * block * n_rows))
+    buf = np.empty((rows, n_rows, len(xq), block), dtype=complex)
 
-    def linear(c):  # exp(i c x) for each coefficient of c, as (len(c), N)
-        tab = np.exp(1j * c[:, None] * xq)[:, :, None] * np.exp(1j * c[:, None] * xr)[:, None, :]
-        return tab.reshape(len(c), -1)[:, :n_x]
+    def linear(c):  # exp(i c x) for each coefficient of c, (m, k) -> (m, k, N)
+        tab = buf[: len(c)]
+        np.multiply(np.exp(1j * c[..., None] * xq)[..., :, None], np.exp(1j * c[..., None] * xr)[..., None, :], out=tab)
+        return tab.reshape(*c.shape, -1)[..., :n_x]
+
+    def centres(s):  # (len(s), k)
+        return np.atleast_2d(centre(s)).T
 
     def kicks(s0, s1):
-        a = centre(np.arange(s0, s0 + 1))
-        squares = a @ a
-        yield quad_half * linear(0.5 * dt * a)[0]
+        a = centres(np.arange(s0, s0 + 1))
+        squares = a[0] * a[0]
+        yield quad_half * linear(half_dt * a)[0]
         for j in range(s0 + 1, s1, rows):
-            a = centre(np.arange(j - 1, min(j + rows, s1)))  # a_{j-1} .. a_{j+rows-1}
-            squares += a[1:] @ a[1:]
-            tab = linear(0.5 * dt * (a[:-1] + a[1:]))
+            a = centres(np.arange(j - 1, min(j + rows, s1)))  # a_{j-1} .. a_{j+rows-1}
+            squares += np.einsum("sk,sk->k", a[1:], a[1:])
+            tab = linear(half_dt * (a[:-1] + a[1:]))
             tab *= quad_full
             yield from tab
-        yield quad_half * linear(0.5 * dt * a[-1:])[0] * np.exp(-0.5j * dt * squares)
+        yield quad_half * linear(half_dt * a[-1:])[0] * np.exp(-0.5j * dt * squares[:, None])
 
     return kicks
 
 
-def transport_grid_overlap(traj, N: int = 1024, L: float = 36.0, dt: float = 2e-3):
+def _transport_grid_states(trajs, N: int = 1024, L: float = 36.0, dt: float = 2e-3):
+    """Grid x and the split-step states at t = tau of the transport oracle,
+    one row per trajectory in the order given.
+
+    Each trajectory takes ceil(2 tau/dt) equal steps from the trap ground
+    state at x(-tau) in its moving well V = (x - xbar(t))^2/2, with xbar at
+    the midpoint of each step.  The rows run as one stack, longest run
+    first; the kernel advances the prefix of rows that are still running,
+    one call per distinct end step, so each fixed cost of a step is paid
+    once for the whole stack.
+    """
+    dx = L / N
+    x = (np.arange(N) - N // 2) * dx
+    taus = np.array([float(traj.tau) for traj in trajs])
+    n_steps = np.ceil(2 * taus / dt).astype(int)
+    order = np.argsort(-n_steps, kind="stable")
+    taus, n_steps = taus[order], n_steps[order]
+    paths = [trajs[i].x for i in order]
+    dts = (2 * taus / n_steps)[:, None]
+    starts = np.array([float(np.asarray(path(-tau))) for path, tau in zip(paths, taus)])
+    psi = np.pi ** (-0.25) * np.exp(-0.5 * (x - starts[:, None]) ** 2)
+    psi = psi.astype(complex) / np.sqrt(np.sum(np.abs(psi) ** 2, axis=1, keepdims=True) * dx)
+
+    done = 0
+    for k in range(len(paths), 0, -1):
+        end = n_steps[k - 1]
+        if end == done:
+            continue
+
+        def centre(s, k=k, done=done):
+            t = -taus[:k, None] + (s + done + 0.5) * dts[:k]
+            return np.stack([path(row) for path, row in zip(paths, t)])
+
+        switching._split_step(psi[:k], _moving_well_kicks(x, dx, dts[:k], centre), dts[:k], dx, end - done)
+        done = end
+    out = np.empty_like(psi)
+    out[order] = psi
+    return x, out
+
+
+def transport_grid_overlaps(trajs, N: int = 1024, L: float = 36.0, dt: float = 2e-3) -> list[float]:
     """Independent split-step oracle for the transported-trap solver.
 
-    Propagates the trap ground state in the moving well V = (x - xbar(t))^2/2,
-    with xbar taken at the midpoint of each step, and returns
-    |<psi_model|psi_grid>|^2 at t = tau against the closed-form
-    reconstruction.
+    Propagates the trap ground state of each trajectory on the grid (see
+    ``_transport_grid_states``, which runs them all as one stack) and
+    returns, in the order given, |<psi_model|psi_grid>|^2 at t = tau against
+    the closed-form reconstruction of ``moving.evolve_coherent``.
     """
-    tau = traj.tau
-    x = (np.arange(N) - N // 2) * (L / N)
+    x, psi = _transport_grid_states(trajs, N, L, dt)
     dx = L / N
-    x_start = float(np.asarray(traj.x(-tau)))
-    psi = np.pi ** (-0.25) * np.exp(-0.5 * (x - x_start) ** 2)
-    psi = psi.astype(complex) / np.sqrt(np.sum(np.abs(psi) ** 2) * dx)
-    n_steps = int(np.ceil(2 * tau / dt))
-    dt = 2 * tau / n_steps
+    overlaps = []
+    for traj, row in zip(trajs, psi):
+        ref = moving.evolve_coherent(traj, traj.tau).position_wavefunction(x, lab_frame=True)
+        ref = ref / np.sqrt(np.sum(np.abs(ref) ** 2) * dx)
+        overlaps.append(float(np.abs(np.vdot(ref, row) * dx) ** 2))
+    return overlaps
 
-    def centre(s):
-        return np.asarray(traj.x(-tau + (s + 0.5) * dt), dtype=float)
 
-    switching._split_step(psi[None], _moving_well_kicks(x, dx, dt, centre), dt, dx, n_steps)
-    ev = moving.evolve_coherent(traj, tau)
-    ref = ev.position_wavefunction(x, lab_frame=True)
-    ref = ref / np.sqrt(np.sum(np.abs(ref) ** 2) * dx)
-    return float(np.abs(np.vdot(ref, psi) * dx) ** 2)
+def transport_grid_overlap(traj, N: int = 1024, L: float = 36.0, dt: float = 2e-3) -> float:
+    """``transport_grid_overlaps`` for one trajectory."""
+    return transport_grid_overlaps([traj], N, L, dt)[0]
 
 
 def benchmark_trajectories():
@@ -326,7 +374,7 @@ def _c_switching_fidelity(ctx: AcceptContext):
 
 
 def _c_transport_solver(ctx: AcceptContext):
-    overlaps = [transport_grid_overlap(traj) for traj in benchmark_trajectories()]
+    overlaps = transport_grid_overlaps(benchmark_trajectories())
     traj = traps.sine_squared_path(6.0, 9.0, 1.0)
     r, pop_exc = moving.adiabaticity_residual(traj)
     ev = moving.evolve_coherent(traj, traj.tau)
@@ -497,6 +545,8 @@ def run_accept(ctx: AcceptContext, only=None):
 
 
 def _scn_gate_moving(cfg, outdir, seed):
+    if cfg["n_samples"] < 1:
+        raise ValidationError(f"config key 'n_samples': expected >= 1, got {cfg['n_samples']}")
     traj = traps.sine_squared_path(cfg["amplitude"], cfg["tau"], cfg["cycles"])
     ts = np.linspace(-traj.tau, traj.tau, cfg["n_samples"])
     rows = [(t, float(np.asarray(traj.x(t))), float(np.asarray(traj.velocity(t)))) for t in ts]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad, solve_ivp
 
-from .errors import HierarchyViolated, PerturbationInvalid, QuadratureFailure
+from .errors import HierarchyViolated, PerturbationInvalid, QuadratureFailure, ValidationError
 from .traps import Trajectory
 
 
@@ -205,9 +205,11 @@ def collisional_phase_perturbative(
     """Collisional phase int dt DeltaE(t)/hbar for two dragged atoms.
 
     Densities are instantaneous Gaussian ground states centered on the two
-    trajectories.  Raises PerturbationInvalid when max |DeltaE| >= 0.5;
-    warns above 0.1.
+    trajectories.  Raises ValidationError for a non-finite ``a_s`` and
+    PerturbationInvalid when max |DeltaE| >= 0.5 or is NaN; warns above 0.1.
     """
+    if not np.isfinite(a_s):
+        raise ValidationError(f"a_s must be finite, got {a_s!r}")
     tau = min(traj1.tau, traj2.tau)
 
     def shift(s):
@@ -215,8 +217,8 @@ def collisional_phase_perturbative(
         return interaction_shift(sep, a_s, geometry, same_state=same_state)
 
     ts = np.linspace(-tau, tau, n_samples)
-    peak = max(abs(shift(s)) for s in ts)
-    if peak >= 0.5:
+    peak = float(np.max(np.abs([shift(s) for s in ts])))  # unlike max(), keeps a NaN sample
+    if not peak < 0.5:  # NaN fails too
         raise PerturbationInvalid(f"max |DeltaE| = {peak:.3f} hbar*omega >= 0.5")
     if peak >= 0.1:
         warnings.warn(f"max |DeltaE| = {peak:.3f} hbar*omega above 0.1; phase is perturbative only", stacklevel=2)

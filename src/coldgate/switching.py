@@ -11,8 +11,10 @@ Every grid propagation in the package, here and in the transport oracle of
 ``cli``, runs through one split-step kernel, ``_split_step``.  It advances a
 stacked batch of wavefunctions, shape (k, N) or (k, N, N), in place with one
 ``scipy.fft`` transform pair per step for the whole batch: the (b,b) state
-and its g=0 reference travel as one (2, N) array.  Between observations the
-two half kicks that meet between steps are applied as one full kick, and a
+and its g=0 reference travel as one (2, N) array, and the transport oracle
+runs all its trajectories as one stack, each member with its own time step,
+dropping a member when its run ends.  Between observations the two half
+kicks that meet between steps are applied as one full kick, and a
 time-dependent potential supplies its kicks as tables built a chunk of steps
 at a time.  The resolution precheck of ``propagate`` takes the phase on the
 requested grid from the first period of the main run and only propagates
@@ -153,8 +155,10 @@ def _split_step(psi, kicks, dt, dx, n_steps, every=0, observe=None):
     place by ``n_steps`` Strang steps exp(-i dt V/2) exp(-i dt T) exp(-i dt V/2)
     with T = -(1/2) times the Laplacian on a periodic grid of spacing ``dx``.
 
-    ``kicks`` is the half kick exp(-i dt V/2) of a static potential, which
-    broadcasts against ``psi``, or, for a time-dependent potential, a
+    ``dt`` is a scalar, or a column with one step per member, shape (k, 1)
+    for a (k, N) batch, so that each member advances with its own kinetic
+    factor.  ``kicks`` is the half kick exp(-i dt V/2) of a static potential,
+    which broadcasts against ``psi``, or, for a time-dependent potential, a
     callable ``kicks(s0, s1)`` that yields the s1 - s0 + 1 position-space
     factors of steps s0 .. s1-1 in order: the opening half kick of step s0,
     the fused kicks exp(-i dt (V_{s-1} + V_s)/2) between steps, and the
@@ -319,9 +323,7 @@ def propagate(
 
     def recorder(out):
         def observe(s, stack):
-            # not stack[0] @ psi0: BLAS rounds the two differently, and
-            # the written series keep this product's last digits
-            out[0, s] = (stack @ psi0)[0] * dx
+            out[0, s] = np.vdot(psi0, stack[0]) * dx
             out[1, s] = np.vdot(stack[1], stack[0]) * dx
 
         return observe

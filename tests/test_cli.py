@@ -184,6 +184,10 @@ def test_qc_bad_input_exits_2(tmp_path, scenario, lines):
         ("gate-switching", "sigma_reg=NaN"),
         ("gate-switching", "grid_l=NaN"),
         ("gate-moving", "a_s=100"),  # outside the perturbative model
+        ("gate-moving", "a_s=NaN"),  # was written into summary.json
+        ("gate-moving", "a_s=Infinity"),
+        ("gate-moving", "n_samples=0"),  # was a header-only trajectory.csv
+        ("gate-moving", "n_samples=-3"),  # was a ValueError from linspace
         ("qc-ghz", "n=30"),  # 31 sites, refused before 2^30 amplitudes are built
     ],
 )

@@ -5,13 +5,14 @@ renamed or deleted, ``install`` raises and the traced benchmark run dies
 before its first step.
 """
 
+import math
 import os
 
 import pytest
 
 import numpy as np
 
-from coldgate import fidelity, mott, qc
+from coldgate import cli, fidelity, mott, qc, traps
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -86,3 +87,18 @@ def test_tracer_reads_qc_gates(bench_modules):
         while parent is not None:
             assert by_id[parent]["name"] not in layers.GATES
             parent = by_id[parent]["parent"]
+
+
+def test_tracer_reads_transport_oracle(bench_modules):
+    # the transport probe reads ``traj`` and ``dt`` of the one-row oracle;
+    # the stacked ``transport_grid_overlaps`` it wraps is not traced
+    layers, spans = bench_modules
+    traj = traps.sine_squared_path(1.0, 0.5003, 0.5)
+    tracer = spans.Tracer("t")
+    restore = layers.install(tracer)
+    try:
+        cli.transport_grid_overlap(traj, N=128, L=24.0)
+    finally:
+        restore()
+    (span,) = [sp for sp in tracer.records() if sp["name"] == "cli.transport_grid_overlap"]
+    assert span["attrs"] == {"point_steps": 128 * math.ceil(2 * traj.tau / 2e-3)}

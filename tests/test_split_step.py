@@ -42,6 +42,27 @@ def test_transport_oracle_matches_naive_loop():
     assert abs(cli.transport_grid_overlap(traj) - expected) <= 1e-12
 
 
+def test_ragged_transport_stack_matches_one_row_runs():
+    # 2 tau/dt is not an integer on any path, so each row takes its own dt,
+    # and the step counts differ, so rows leave the stack one at a time
+    trajs = [
+        traps.sine_squared_path(2.0, 1.2345, 1.0),  # 1235 steps
+        traps.sine_squared_path(2.0, 2.0007, 0.5),  # 2001 steps
+        traps.gaussian_bump_path(1.0, 1.5003, 0.4),  # 1501 steps
+    ]
+    dts = {2 * t.tau / np.ceil(2 * t.tau / 2e-3) for t in trajs}
+    assert len(dts) == 3 and 2e-3 not in dts
+    _, states = cli._transport_grid_states(trajs)
+    overlaps = cli.transport_grid_overlaps(trajs)
+    for traj, state, overlap in zip(trajs, states, overlaps):
+        expected, expected_overlap = _transport_reference(traj)
+        _, (alone,) = cli._transport_grid_states([traj])
+        assert np.max(np.abs(state - expected)) <= 1e-12
+        assert np.max(np.abs(state - alone)) <= 1e-12
+        assert abs(overlap - expected_overlap) <= 1e-12
+        assert abs(overlap - cli.transport_grid_overlap(traj)) <= 1e-12
+
+
 @pytest.mark.parametrize("every", [0, 7])
 def test_moving_well_kicks_match_naive_loop(every):
     # the fused kicks, scalar phases included, reproduce the state itself,
