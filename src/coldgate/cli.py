@@ -599,6 +599,10 @@ def _scn_gate_switching(cfg, outdir, seed):
             "tau": ser.tau,
             "perturbative_closed_per_T": pert.closed_form,
             "perturbative_quadrature_per_T": pert.quadrature,
+            "basis_size": ser.basis_size,
+            "solver_iterations": ser.solver_iterations,
+            "tail_weight": ser.tail_weight,
+            "precheck_delta": ser.precheck_delta,
         },
     )
     return 0

@@ -3,24 +3,26 @@
 The barrier of a state-selective double well is switched off for state b;
 the two b atoms oscillate through each other and accumulate an interaction
 phase.  Center-of-mass motion, like that of one released b atom, is
-analytic (``cm_overlap_complex``); the relative coordinate is propagated
-on a 1D grid with a regularized contact term.  The (a,b) channel
-needs the full 2D two-particle grid and does not revive.
+analytic (``cm_overlap_complex``).  The relative coordinate carries a
+regularized contact term; ``propagate`` evolves it exactly in time, with
+its g=0 reference, in the lowest even eigenpairs of the periodic grid
+Hamiltonian.  On even functions the grid's FFT kinetic energy is a DCT-I,
+so a block LOBPCG finds those pairs without forming a matrix, and the
+resolution precheck repeats the solve on the 2N grid, warm-started from the
+N eigenvectors.  The (a,b) channel needs the full 2D two-particle grid and
+does not revive.
 
-Every grid propagation in the package, here and in the transport oracle of
-``cli``, runs through one split-step kernel, ``_split_step``.  It advances a
-stacked batch of wavefunctions, shape (k, N) or (k, N, N), in place with one
-``scipy.fft`` transform pair per step for the whole batch: the (b,b) state
-and its g=0 reference travel as one (2, N) array, and the transport oracle
-runs all its trajectories as one stack, each member with its own time step,
-dropping a member when its run ends.  Between observations the two half
-kicks that meet between steps are applied as one full kick, and a
-time-dependent potential supplies its kicks as tables built a chunk of steps
-at a time.  The resolution precheck of ``propagate`` takes the phase on the
-requested grid from the first period of the main run and only propagates
-the 2N grid itself.
+The other grid propagations, ``propagate_ab``, ``_release_amplitudes`` and
+the transport oracle of ``cli``, run through one split-step kernel,
+``_split_step``, which is also the test oracle of the spectral (b,b) series.
+It advances a stacked batch of wavefunctions, shape (k, N) or (k, N, N), in
+place with one ``scipy.fft`` transform pair per step for the whole batch:
+the transport oracle runs all its trajectories as one stack, each member
+with its own time step, dropping a member when its run ends.  Between
+observations the two half kicks that meet between steps are applied as one
+full kick, and a time-dependent potential supplies its kicks as tables
+built a chunk of steps at a time.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -140,10 +142,6 @@ class TwoParticleGrid:
         return (np.arange(self.N) - self.N // 2) * self.dx
 
 
-def _norm(psi, dx):
-    return float(np.sum(np.abs(psi) ** 2) * dx)
-
-
 def _static_kicks(half):
     """The kicks of ``_split_step`` for a static potential with half kick ``half``."""
     full = half * half
@@ -208,6 +206,10 @@ class SwitchTimeSeries:
     phase_final: float
     revival: float
     revival_times: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    basis_size: int = 0
+    solver_iterations: int = 0
+    tail_weight: float = 0.0
+    precheck_delta: float | None = None
 
     def phase_at(self, t: float) -> float:
         return float(np.interp(t, self.t, self.phase))
@@ -263,13 +265,201 @@ def _bb_initial_state(cfg: SwitchingConfig, x):
     return g, r0
 
 
-def _bb_problem(cfg: SwitchingConfig, x, dt, g_tilde, sigma_reg):
-    """Initial (b,b) state and the stacked half kicks of the interacting
-    potential and of its g=0 reference, rows in that order."""
-    psi0, _ = _bb_initial_state(cfg, x)
+# The (b,b) channel in the lowest even eigenpairs of the grid Hamiltonian
+BLOCK_SIZE = 40  # LOBPCG block, started from the even Hermite functions h_0 .. h_78
+BASIS_SIZE = 32  # lowest pairs that must converge; they carry the time evolution
+RESIDUAL_TOL = 1e-11  # residual bound, relative to k_max^2/2 + max V
+GRAM_DROP = 1e-12  # Gram eigenvalue below which a new direction is dropped
+MAX_ITERATIONS = 100
+SERIES_CHUNK = 1024  # samples per chunk of the amplitude series
+
+
+class _EvenSector:
+    """The even functions of a periodic grid, held as their values u at
+    x = 0, dx, ..., L/2 (N/2 + 1 points) and handled in the coordinates
+    y = w u, w = sqrt(dx) (1, sqrt 2, ..., sqrt 2, 1), in which the grid
+    norm is the Euclidean one.  On this subspace the FFT kinetic energy is
+    a DCT-I, T u = idct(k^2/2 dct(u)) with k = 2 pi q / L, q = 0 .. N/2.
+    Blocks of vectors are rows, shape (m, N/2 + 1)."""
+
+    def __init__(self, grid: TwoParticleGrid):
+        if grid.N % 2:
+            raise ValidationError(f"the (b,b) grid needs an even N, got N={grid.N}")
+        n = grid.N // 2 + 1
+        self.x = grid.dx * np.arange(n)
+        self.w = np.full(n, np.sqrt(2 * grid.dx))
+        self.w[[0, -1]] = np.sqrt(grid.dx)
+        self.kinetic = 0.5 * (2 * np.pi / grid.L * np.arange(n)) ** 2
+
+    def dct_diagonal(self, Y, factor):
+        """The operator that multiplies DCT-I coefficients by ``factor``,
+        applied to the rows of Y in place; returns Y."""
+        Y /= self.w
+        Y = fft.dct(Y, type=1, overwrite_x=True)
+        Y *= factor
+        Y = fft.idct(Y, type=1, overwrite_x=True)
+        Y *= self.w
+        return Y
+
+
+def _even_hermite(x, count):
+    """Rows h_0, h_2, ..., h_{2 count - 2}: the even eigenfunctions of
+    V = x^2/2, at x."""
+    out = np.empty((count, x.size))
+    prev, h = np.zeros_like(x), np.pi**-0.25 * np.exp(-0.5 * x**2)
+    for n in range(2 * count - 1):
+        if n % 2 == 0:
+            out[n // 2] = h
+        prev, h = h, np.sqrt(2.0 / (n + 1)) * x * h - np.sqrt(n / (n + 1)) * prev
+    return out
+
+
+def _dct_interpolate(U, n):
+    """Rows of even grid functions at x = 0 .. L/2, Fourier-interpolated to
+    n > U.shape[1] points on the same interval by a zero-padded DCT-I."""
+    m = U.shape[1]
+    coef = np.zeros((len(U), n))
+    coef[:, :m] = fft.dct(U, type=1)
+    coef[:, m - 1] *= 0.5  # the old Nyquist term is an interior one now
+    out = fft.idct(coef, type=1, overwrite_x=True)
+    out *= (n - 1) / (m - 1)
+    return out
+
+
+def _start_block(sector: _EvenSector, start=None):
+    """Orthonormal rows, in y coordinates, spanning the even Hermite
+    functions h_0 .. h_{2 BLOCK_SIZE - 2} or, if given, the rows of
+    ``start``: grid values at x = 0 .. L/2 on a coarser grid of the same L."""
+    rows = _even_hermite(sector.x, BLOCK_SIZE) if start is None else _dct_interpolate(start, sector.x.size)
+    rows *= sector.w
+    return _new_directions(rows)
+
+
+def _new_directions(Z, X=None):
+    """The rows of Z, each scaled to norm 1, made orthonormal and orthogonal
+    to the orthonormal rows X, if given.  Twice: project off X, then
+    orthonormalise by an eigh of the Gram matrix, dropping the directions
+    whose Gram eigenvalue is below GRAM_DROP, which lay in the span of X or
+    of the other rows to within rounding.  Z itself is overwritten."""
+    Z /= np.maximum(np.linalg.norm(Z, axis=1, keepdims=True), np.finfo(float).tiny)
+    for _ in range(2):
+        if X is not None:
+            Z -= (Z @ X.T) @ X
+        lam, U = np.linalg.eigh(Z @ Z.T)
+        keep = lam > GRAM_DROP
+        Z = (U[:, keep] / np.sqrt(lam[keep])).T @ Z
+    return Z
+
+
+def _lowest_eigenpairs(sector: _EvenSector, V, S):
+    """The lowest eigenpairs of H = T + V on the even sector, by block
+    LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 517 (2001)) from the
+    orthonormal rows S (y coordinates), preconditioned by (T + theta_max)^-1
+    with theta_max the block's highest Ritz value.
+
+    Returns the Ritz values and vectors of the block, ascending, the
+    vectors as rows in y coordinates, and the number of iterations.  Raises
+    ``ConvergenceFailure`` if the lowest BASIS_SIZE residual norms are not
+    all below RESIDUAL_TOL (k_max^2/2 + max V) after MAX_ITERATIONS.
+    """
+
+    def apply_h(Y):
+        HY = sector.dct_diagonal(Y.copy(), sector.kinetic)
+        HY += V * Y
+        return HY
+
+    want = min(BASIS_SIZE, V.size)
+    tol = RESIDUAL_TOL * (sector.kinetic[-1] + np.max(V))
+    # S: the previous block's k rows, then the new directions.  Each array
+    # is dropped as soon as it is done with, to keep the peak memory low.
+    HS, k = apply_h(S), len(S)
+    for iteration in range(MAX_ITERATIONS + 1):
+        theta, C = np.linalg.eigh(S @ HS.T)
+        m = min(BLOCK_SIZE, len(S))
+        theta, C = theta[:m], C[:, :m]
+        HX = C.T @ HS
+        del HS
+        X = C.T @ S
+        R = X * -theta[:, None]
+        R += HX
+        res = np.sqrt(np.einsum("ij,ij->i", R, R))
+        if not np.any(res[:want] > tol):
+            return theta, X, iteration
+        active = res > tol
+        P = C[k:, active].T @ S[k:]  # the active rows' part outside the old block
+        del S
+        W = sector.dct_diagonal(R[active], 1.0 / (sector.kinetic + theta[-1]))
+        del R
+        Z = np.vstack([W, P])
+        del W, P
+        Z = _new_directions(Z, X)
+        HS = np.vstack([HX, apply_h(Z)])
+        del HX
+        S, k = np.vstack([X, Z]), m
+        del Z
+    unconverged = int(np.sum(res[:want] > tol))
+    raise ConvergenceFailure(
+        f"eigensolve: {unconverged} of the lowest {want} residuals above {tol:.2e} after {MAX_ITERATIONS} iterations"
+    )
+
+
+@dataclass(frozen=True)
+class _BBSpectrum:
+    """The (b,b) state psi0 in the lowest even eigenpairs of the interacting
+    grid Hamiltonian (energies E, amplitudes c_n = <phi_n|psi0>) and of its
+    g=0 reference (E0, d_m = <chi_m|psi0>), with overlaps O = <chi_m|phi_n>.
+    ``vectors`` is the interacting solve's whole block as grid values at
+    x = 0 .. L/2; ``iterations`` counts the LOBPCG iterations of both solves."""
+
+    E: np.ndarray
+    c: np.ndarray
+    E0: np.ndarray
+    d: np.ndarray
+    O: np.ndarray
+    vectors: np.ndarray
+    iterations: int
+
+    @property
+    def tail_weight(self) -> float:
+        """The weight of psi0 outside the basis, the larger of 1 - sum c_n^2
+        and 1 - sum d_m^2 (NaN if either is)."""
+        return float(np.max([1.0 - np.sum(self.c**2), 1.0 - np.sum(self.d**2)]))
+
+    def amplitudes(self, t):
+        """<psi0|psi(t)> and <ref(t)|psi(t)> at the times t, rows in that
+        order, evaluated SERIES_CHUNK samples at a time."""
+        out = np.empty((2, len(t)), dtype=complex)
+        for s in range(0, len(t), SERIES_CHUNK):
+            tc = t[s : s + SERIES_CHUNK, None]
+            psi = self.c * np.exp(-1j * tc * self.E)  # psi(t) in the phi_n basis
+            out[0, s : s + SERIES_CHUNK] = psi @ self.c
+            out[1, s : s + SERIES_CHUNK] = (psi @ self.O.T * np.exp(1j * tc * self.E0)) @ self.d
+        return out
+
+
+def _bb_spectrum(cfg: SwitchingConfig, grid: TwoParticleGrid, g_tilde, sigma_reg, start=None) -> _BBSpectrum:
+    """``_BBSpectrum`` on ``grid``.  The interacting solve starts from
+    ``start``, eigenvectors of a coarser grid of the same L as values at
+    x = 0 .. L/2, or else from the even Hermite functions, as the reference
+    solve always does.  A non-finite potential makes every field NaN, which
+    fails the checks downstream."""
+    sector = _EvenSector(grid)
+    x = sector.x
     V0 = 0.5 * x**2
     V = V0 + g_tilde * _regularized_delta(x, sigma_reg)
-    return psi0, np.exp(-0.5j * dt * np.stack([V, V0]))
+    if not np.all(np.isfinite(V)):
+        nan = np.full(BASIS_SIZE, np.nan)
+        return _BBSpectrum(nan, nan, nan, nan, np.outer(nan, nan), np.full((BLOCK_SIZE, x.size), np.nan), 0)
+    u0, _ = _bb_initial_state(cfg, x)
+    y0 = sector.w * u0
+    y0 /= np.linalg.norm(y0)
+    E0, X0, iterations0 = _lowest_eigenpairs(sector, V0, _start_block(sector))
+    E, X, iterations = _lowest_eigenpairs(sector, V, _start_block(sector, start))
+    n = min(BASIS_SIZE, len(E), len(E0))
+    phi, chi = X[:n], X0[:n]
+    return _BBSpectrum(
+        E=E[:n], c=phi @ y0, E0=E0[:n], d=chi @ y0, O=chi @ phi.T, vectors=X / sector.w, iterations=iterations + iterations0
+    )
 
 
 def propagate(
@@ -283,16 +473,26 @@ def propagate(
     check_convergence: bool = True,
     interacting: bool = True,
 ) -> SwitchTimeSeries:
-    """Propagate the (b,b) channel through ``n_periods`` oscillations.
+    """Evolve the (b,b) channel through ``n_periods`` oscillations.
 
-    Only the relative coordinate is propagated (the CM motion is analytic),
-    side by side with a g=0 reference.  Returns the phase relative to that
-    reference, the overlap series, and the revival period shift deltaT.
-    With ``check_convergence`` the phase after one period must agree within
-    1e-3 rad with the same run on a grid of 2N points, or
-    ``ConvergenceFailure`` is raised.  The (a,b) channel needs the 2D grid
-    of ``propagate_ab``, and the (a,a) channel has no dynamics: both raise
-    ``ValidationError``.
+    Only the relative coordinate is evolved (the CM motion is analytic),
+    side by side with a g=0 reference, both exactly in time: the initial
+    state is expanded in the lowest BASIS_SIZE even eigenpairs of the
+    periodic grid Hamiltonian of N points (N must be even) and length L,
+    for the interacting potential and for the reference.
+    ``steps_per_period`` is only the sampling rate of the series: the
+    evolution itself is exact, and only what is read between samples (the
+    revival peaks, ``phase_at``, ``amp_init_at``) depends on it.  Returns
+    the phase relative to the reference, the overlap series, and the
+    revival period shift deltaT.
+
+    ``NormLoss`` is raised when the initial state has weight above 1e-6
+    outside either basis.  With ``check_convergence`` the phase after one
+    period must agree within 1e-3 rad with the same solve on a grid of 2N
+    points, or ``ConvergenceFailure`` is raised; so is an eigensolve that
+    does not converge.  The (a,b) channel needs the 2D grid of
+    ``propagate_ab``, and the (a,a) channel has no dynamics: both raise
+    ``ValidationError``, as does an odd N.
     """
     channel = tuple(channel)
     if channel in (("a", "b"), ("b", "a")):
@@ -309,42 +509,29 @@ def propagate(
     period = 2 * np.pi
     dt = period / steps_per_period
     grid = TwoParticleGrid(L=L, N=N, dt=dt)
-    dx = grid.dx
 
     mu = cfg.mass / 2.0
     a_r = np.sqrt(HBAR / (mu * cfg.omega))
     g_tilde = cfg.g1d("bb") / (HBAR * cfg.omega * a_r) if interacting else 0.0
-    psi0, half = _bb_problem(cfg, grid.x, dt, g_tilde, sigma_reg)
+    spec = _bb_spectrum(cfg, grid, g_tilde, sigma_reg)
 
     n_steps = int(round((n_periods + 0.1) * steps_per_period))
-    # rows: <psi0|psi>, <ref|psi> at every step
-    amp = np.empty((2, n_steps + 1), dtype=complex)
-    psi0 = psi0.astype(complex)
-
-    def recorder(out):
-        def observe(s, stack):
-            out[0, s] = np.vdot(psi0, stack[0]) * dx
-            out[1, s] = np.vdot(stack[1], stack[0]) * dx
-
-        return observe
-
-    # interacting state (row 0) and its g=0 reference (row 1)
-    stack = np.stack([psi0, psi0])
-    recorder(amp)(0, stack)
-    first = steps_per_period if check_convergence else n_steps
-    _split_step(stack, half, dt, dx, first, every=1, observe=recorder(amp))
-    if check_convergence:
-        p1 = float(-np.angle(amp[1, first]))
-        p2 = _propagate_bb_once(cfg, TwoParticleGrid(L=L, N=2 * N, dt=dt), g_tilde, sigma_reg, 1, steps_per_period)
-        if not abs(p1 - p2) <= 1e-3:  # NaN fails too
-            raise ConvergenceFailure(f"phase changes by {abs(p1 - p2):.2e} rad when halving dx")
-        _split_step(stack, half, dt, dx, n_steps - first, every=1, observe=recorder(amp[:, first:]))
-
-    if not abs(_norm(stack[0], dx) - 1.0) <= 1e-6:
-        raise NormLoss(f"norm drifted to {_norm(stack[0], dx):.8f}")
-
     t = np.arange(n_steps + 1) * dt
-    a_init, a_ref = amp
+    precheck_delta = None
+    if check_convergence:
+        p1 = float(-np.angle(spec.amplitudes(t[steps_per_period : steps_per_period + 1])[1, 0]))
+        p2 = _propagate_bb_once(cfg, TwoParticleGrid(L=L, N=2 * N, dt=dt), g_tilde, sigma_reg, 1, steps_per_period, spec.vectors)
+        precheck_delta = abs(p1 - p2)
+        if not precheck_delta <= 1e-3:  # NaN fails too
+            raise ConvergenceFailure(f"phase changes by {precheck_delta:.2e} rad when halving dx")
+
+    if not spec.tail_weight <= 1e-6:
+        raise NormLoss(
+            f"the initial state has weight {spec.tail_weight:.2e} outside the {len(spec.E)} lowest eigenstates"
+            " of H or of its g=0 reference"
+        )
+
+    a_init, a_ref = spec.amplitudes(t)
     phase = -np.unwrap(np.angle(a_ref))
     ov_init = np.abs(a_init) ** 2
     deltaT, peaks = _extract_revivals(t, ov_init, period, n_periods)
@@ -362,16 +549,20 @@ def propagate(
         phase_final=float(np.interp(tau, t, phase)),
         revival=float(revival),
         revival_times=np.array([p[1] for p in peaks]),
+        basis_size=len(spec.E),
+        solver_iterations=spec.iterations,
+        tail_weight=spec.tail_weight,
+        precheck_delta=precheck_delta,
     )
 
 
-def _propagate_bb_once(cfg, grid, g_tilde, sigma_reg, n_periods, steps_per_period):
-    """One-shot short propagation returning the phase after n_periods periods
-    (used by the resolution pre-check)."""
-    psi0, half = _bb_problem(cfg, grid.x, grid.dt, g_tilde, sigma_reg)
-    stack = np.stack([psi0, psi0]).astype(complex)
-    _split_step(stack, half, grid.dt, grid.dx, n_periods * steps_per_period)
-    return float(-np.angle(np.vdot(stack[1], stack[0]) * grid.dx))
+def _propagate_bb_once(cfg, grid, g_tilde, sigma_reg, n_periods, steps_per_period, start=None):
+    """The (b,b) phase after ``n_periods`` periods from the spectral solve
+    on ``grid`` (used by the resolution precheck); ``start`` warm-starts the
+    interacting solve, as for ``_bb_spectrum``."""
+    spec = _bb_spectrum(cfg, grid, g_tilde, sigma_reg, start)
+    t = np.array([n_periods * steps_per_period * grid.dt])
+    return float(-np.angle(spec.amplitudes(t)[1, 0]))
 
 
 def propagate_ab(

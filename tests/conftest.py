@@ -10,7 +10,7 @@ def ref_cfg():
 
 @pytest.fixture(scope="session")
 def bb_series(ref_cfg):
-    """Production-resolution collision-channel propagation (slow, shared)."""
+    """Production-resolution collision-channel series (shared)."""
     return switching.propagate(ref_cfg, ("b", "b"))
 
 

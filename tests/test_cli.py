@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from coldgate import cli
+from coldgate import cli, switching
 from coldgate.errors import ValidationError
 
 
@@ -96,6 +96,24 @@ def test_nonconvergent_grid_exits_3(tmp_path):
     assert rc == 3
 
 
+def test_eigensolve_at_iteration_cap_exits_3(tmp_path, monkeypatch):
+    monkeypatch.setattr(switching, "MAX_ITERATIONS", 1)
+    cfgp = tmp_path / "c.cfg"
+    cfgp.write_text("n_periods=1\n")
+    assert cli.main(["gate-switching", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 3
+
+
+def test_gate_switching_summary_reports_solver(tmp_path):
+    cfgp = tmp_path / "c.cfg"
+    cfgp.write_text("grid_n=2048\nsteps_per_period=200\nn_periods=1\n")
+    assert cli.main(["gate-switching", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 0
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert summary["basis_size"] == switching.BASIS_SIZE
+    assert 0 < summary["solver_iterations"] < switching.MAX_ITERATIONS
+    assert abs(summary["tail_weight"]) <= 1e-6
+    assert 0 <= summary["precheck_delta"] <= 1e-3
+
+
 def test_accept_subset_and_fault_injection(tmp_path):
     cfgp = tmp_path / "ok.cfg"
     cfgp.write_text("only=perturbative-oracle,syndrome-table\n")
@@ -183,6 +201,7 @@ def test_qc_bad_input_exits_2(tmp_path, scenario, lines):
         ("gate-switching", "sigma_reg=0"),
         ("gate-switching", "sigma_reg=NaN"),
         ("gate-switching", "grid_l=NaN"),
+        ("gate-switching", "grid_n=4097"),  # the even sector needs an even N
         ("gate-moving", "a_s=100"),  # outside the perturbative model
         ("gate-moving", "a_s=NaN"),  # was written into summary.json
         ("gate-moving", "a_s=Infinity"),

@@ -3,7 +3,9 @@
 Each reference below advances one wavefunction at a time with
 exp(-i dt V/2) exp(-i dt k^2/2) exp(-i dt V/2) and numpy's FFT, recomputing
 the kick at every step.  The kernel fuses kicks, stacks states and uses
-scipy's FFT, so it agrees only to rounding.
+scipy's FFT, so it agrees only to rounding.  The (b,b) channel is evolved
+exactly in time in the grid Hamiltonian's eigenbasis, so there the naive
+loop must converge to it as dt^2.
 """
 
 import numpy as np
@@ -84,7 +86,7 @@ def test_moving_well_kicks_match_naive_loop(every):
 
 
 def _bb_reference(cfg, N, L, steps_per_period, n_periods, sigma_reg=0.0176):
-    """<psi0|psi>, <ref|psi> at every step, and the phase after one period."""
+    """<psi0|psi>, <ref|psi> at every step, and the contact strength g."""
     dt = 2 * np.pi / steps_per_period
     dx = L / N
     x = (np.arange(N) - N // 2) * dx
@@ -103,17 +105,47 @@ def _bb_reference(cfg, N, L, steps_per_period, n_periods, sigma_reg=0.0176):
     return np.asarray(a_init), np.asarray(a_ref), g
 
 
-def test_bb_series_matches_naive_loop(ref_cfg):
-    N, L, sps = 256, 32.0, 500
-    a_init, a_ref, g = _bb_reference(ref_cfg, N, L, sps, 1)
-    ser = switching.propagate(ref_cfg, ("b", "b"), n_periods=1, N=N, L=L, steps_per_period=sps, check_convergence=False)
-    assert np.max(np.abs(ser.phase - -np.unwrap(np.angle(a_ref)))) <= 1e-10
-    assert np.max(np.abs(ser.overlap_init - np.abs(a_init) ** 2)) <= 1e-10
-    assert np.max(np.abs(ser.overlap_ref - np.abs(a_ref) ** 2)) <= 1e-10
-    # the precheck's own run fuses kicks but lands on the same phase
+def test_naive_bb_loop_converges_to_spectral_series(ref_cfg):
+    # the (b,b) series are exact in time, so the Strang loop's error over one
+    # period must fall as dt^2 towards them: in the phase, in the complex
+    # <psi0|psi> (whose rotation sign |a|^2 cannot see) and in |<ref|psi>|^2
+    N, L = 256, 32.0
+    gaps = []
+    for sps in (500, 1000, 2000, 4000):
+        a_init, a_ref, g = _bb_reference(ref_cfg, N, L, sps, 1)
+        ser = switching.propagate(ref_cfg, ("b", "b"), n_periods=1, N=N, L=L, steps_per_period=sps, check_convergence=False)
+        one = slice(0, sps + 1)
+        gaps.append(
+            [
+                np.max(np.abs(ser.phase[one] - -np.unwrap(np.angle(a_ref[one])))),
+                np.max(np.abs(ser.amp_init[one] - a_init[one])),
+                np.max(np.abs(ser.overlap_init[one] - np.abs(a_init[one]) ** 2)),
+                np.max(np.abs(ser.overlap_ref[one] - np.abs(a_ref[one]) ** 2)),
+            ]
+        )
+    gaps = np.asarray(gaps)
+    assert np.all(gaps[:-1] >= 3.5 * gaps[1:])
+    assert np.all(gaps[-1] <= [5e-4, 5e-4, 5e-5, 1e-4])
+    # the precheck's own solve lands on the phase of the main one
     grid = switching.TwoParticleGrid(L=L, N=N, dt=2 * np.pi / sps)
     p = switching._propagate_bb_once(ref_cfg, grid, g, 0.0176, 1, sps)
-    assert abs(p - -np.angle(a_ref[sps])) <= 1e-10
+    assert abs(p - ser.phase[sps]) <= 1e-10
+
+
+def test_even_sector_hamiltonian_matches_fft_grid():
+    # on even vectors the DCT-I kinetic energy is the FFT one
+    N, L = 256, 32.0
+    grid = switching.TwoParticleGrid(L=L, N=N, dt=1e-3)
+    k = 2 * np.pi * np.fft.fftfreq(N, d=grid.dx)
+    V = 0.5 * grid.x**2 + switching._regularized_delta(grid.x, 0.0176)
+    f = np.random.default_rng(3).standard_normal(N)
+    f = f + f[(N - np.arange(N)) % N]  # f(x) = f(-x) on the periodic grid
+    expected = np.fft.ifft(0.5 * k**2 * np.fft.fft(f)).real + V * f
+    sector = switching._EvenSector(grid)
+    half = (N // 2 + np.arange(N // 2 + 1)) % N  # x = 0 .. L/2
+    y = sector.w * f[half]
+    got = (sector.dct_diagonal(y.copy(), sector.kinetic) + V[half] * y) / sector.w
+    assert np.max(np.abs(got - expected[half])) <= 1e-12 * np.max(np.abs(expected))
 
 
 def test_ab_series_matches_naive_loop(ref_cfg):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,25 @@ def test_propagate_resolution_precheck(ref_cfg):
         switching.propagate(ref_cfg, ("b", "b"), n_periods=1, N=64, steps_per_period=200)
 
 
+def test_precheck_refuses_1024_and_passes_2048(ref_cfg):
+    # dx halving moves the phase by 1.65e-3 rad at N=1024, by 2e-9 at 2048
+    with pytest.raises(ConvergenceFailure):
+        switching.propagate(ref_cfg, ("b", "b"), n_periods=1, N=1024, steps_per_period=200)
+    ser = switching.propagate(ref_cfg, ("b", "b"), n_periods=1, N=2048, steps_per_period=200)
+    assert ser.precheck_delta <= 1e-6
+
+
+@pytest.mark.parametrize("N", [64, 128])
+def test_tiny_grids_converge(ref_cfg, N):
+    # at N=64 the 33 even points hold fewer than BLOCK_SIZE vectors; neither
+    # grid may stall at the iteration cap
+    ser = switching.propagate(ref_cfg, ("b", "b"), n_periods=1, N=N, steps_per_period=200, check_convergence=False)
+    assert ser.basis_size == switching.BASIS_SIZE
+    assert ser.solver_iterations < switching.MAX_ITERATIONS
+    assert abs(ser.tail_weight) <= 1e-6
+    assert ser.precheck_delta is None
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [
@@ -87,11 +108,12 @@ def test_propagate_resolution_precheck(ref_cfg):
         {"sigma_reg": np.nan},
         {"sigma_reg": np.inf},
         {"L": np.nan},
+        {"N": 65},  # the even sector needs an even N
     ],
 )
 def test_propagate_rejects_bad_numbers(ref_cfg, kwargs):
     with pytest.raises(ValidationError):
-        switching.propagate(ref_cfg, ("b", "b"), n_periods=1, N=64, **kwargs)
+        switching.propagate(ref_cfg, ("b", "b"), **{"n_periods": 1, "N": 64, **kwargs})
 
 
 def test_nan_fails_precheck_and_norm_check(ref_cfg):
@@ -104,6 +126,21 @@ def test_nan_fails_precheck_and_norm_check(ref_cfg):
             switching.propagate(
                 ref_cfg, ("b", "b"), n_periods=1, N=64, steps_per_period=200, sigma_reg=1e-320, check_convergence=False
             )
+
+
+@pytest.mark.parametrize("side", ["c", "d"])
+def test_norm_check_covers_both_bases(ref_cfg, monkeypatch, side):
+    # a_init is read from c = <phi_n|psi0>, a_ref also from d = <chi_m|psi0>:
+    # weight lost from either expansion raises NormLoss
+    solve = switching._bb_spectrum
+
+    def lossy(*args, **kwargs):
+        spec = solve(*args, **kwargs)
+        return dataclasses.replace(spec, **{side: getattr(spec, side) * np.sqrt(1 - 1e-5)})
+
+    monkeypatch.setattr(switching, "_bb_spectrum", lossy)
+    with pytest.raises(NormLoss):
+        switching.propagate(ref_cfg, ("b", "b"), n_periods=1, N=128, steps_per_period=200, check_convergence=False)
 
 
 def test_noninteracting_reference_revives(ref_cfg):
