@@ -94,6 +94,8 @@ def _resolve(defaults: dict, overrides: dict) -> dict:
             raise ValidationError(f"config key {k!r}: expected {type(d).__name__}, got a bool")
         if isinstance(d, float) and isinstance(v, (int, float)):
             v = float(v)
+        elif isinstance(d, str) and isinstance(v, (int, float)):
+            v = str(v)  # a lone number in a key=value line decodes as JSON
         elif d is not None and not isinstance(v, type(d)):
             raise ValidationError(f"config key {k!r}: expected {type(d).__name__}")
         cfg[k] = v
@@ -103,66 +105,52 @@ def _resolve(defaults: dict, overrides: dict) -> dict:
 # -- shared helpers --------------------------------------------------------
 
 
-def _moving_well_kicks(x, dx, dt, centre):
+def _moving_well_kicks(x, dt, centre):
     """Kicks of ``switching._split_step`` for a stack of k moving wells
-    V_s = (x - a_s)^2/2, one per row, where a_s is the well centre at the
-    midpoint of step s.  ``dt`` is a scalar or a (k, 1) column of per-row
-    steps, and ``centre(s)`` returns the centres of each row for an array of
-    step indices s, shape (k, len(s)), or (len(s),) for one row.
+    V_j = (x - a_j)^2/2, one per row, where a_j is the well centre at the
+    midpoint of substep j.  ``dt`` holds the substep lengths h_j, shape
+    (m, k, 1), that substep j takes from stage j % m, as the kernel reads
+    them, and ``centre(j)`` returns the centres of each row for an array of
+    substep indices j, shape (k, len(j)).
 
-    The half kicks of steps s-1 and s fuse to exp(-i dt x^2/2) times
-    exp(i dt (a_{s-1} + a_s) x/2) times a scalar phase; the scalar phases of
-    a segment are applied together with its closing kick.  Since
-    x_{32 q + r} = x_{32 q} + r dx, each linear phase exp(i c x) is the
-    outer product of two short exponentials, one over q and one over r < 32.
-    Centres and fused kicks are computed one table of at most 256 KiB, for
-    all rows together, at a time, in one buffer that each table reuses, so
-    memory grows neither with the number of steps nor with k.  A fused kick
-    is therefore only valid until the next factor is drawn, which is how
-    the kernel uses it.
+    The half kicks of substeps j-1 and j fuse to one factor
+    exp(-i [h_{j-1} (x - a_{j-1})^2 + h_j (x - a_j)^2]/4), one exponential
+    over the stack.  The centres and phases are drawn 16 substeps at a time,
+    so memory does not grow with the number of steps.
     """
-    dt = np.reshape(dt, (-1, 1))
-    n_x, block, n_rows = len(x), 32, len(dt)
-    xq, xr = x[::block], np.arange(block) * dx
-    quad_full = np.exp(-0.5j * dt * x**2)
-    quad_half = np.exp(-0.25j * dt * x**2)
-    half_dt = 0.5 * dt[:, 0]
-    rows = max(1, 2**18 // (16 * len(xq) * block * n_rows))
-    buf = np.empty((rows, n_rows, len(xq), block), dtype=complex)
-
-    def linear(c):  # exp(i c x) for each coefficient of c, (m, k) -> (m, k, N)
-        tab = buf[: len(c)]
-        np.multiply(np.exp(1j * c[..., None] * xq)[..., :, None], np.exp(1j * c[..., None] * xr)[..., None, :], out=tab)
-        return tab.reshape(*c.shape, -1)[..., :n_x]
-
-    def centres(s):  # (len(s), k)
-        return np.atleast_2d(centre(s)).T
+    quarter = 0.25 * np.asarray(dt)
 
     def kicks(s0, s1):
-        a = centres(np.arange(s0, s0 + 1))
-        squares = a[0] * a[0]
-        yield quad_half * linear(half_dt * a)[0]
-        for j in range(s0 + 1, s1, rows):
-            a = centres(np.arange(j - 1, min(j + rows, s1)))  # a_{j-1} .. a_{j+rows-1}
-            squares += np.einsum("sk,sk->k", a[1:], a[1:])
-            tab = linear(half_dt * (a[:-1] + a[1:]))
-            tab *= quad_full
-            yield from tab
-        yield quad_half * linear(half_dt * a[-1:])[0] * np.exp(-0.5j * dt * squares[:, None])
+        last = 0.0
+        for lo in range(s0, s1, 16):
+            j = np.arange(lo, min(lo + 16, s1))
+            for q in quarter[j % len(quarter)] * (x - centre(j).T[..., None]) ** 2:
+                yield np.exp(-1j * (last + q))
+                last = q
+        yield np.exp(-1j * last)
 
     return kicks
 
 
-def _transport_grid_states(trajs, N: int = 1024, L: float = 36.0, dt: float = 2e-3):
+# Suzuki's fourth-order composition of a symmetric step, S(p h) S(p h)
+# S((1 - 4p) h) S(p h) S(p h) with p = 1/(4 - 4^(1/3)) (Phys. Lett. A 146,
+# 319 (1990)), and the midpoint of each stage as a fraction of h
+_SUZUKI = np.array([1, 1, -(4 ** (1 / 3)), 1, 1]) / (4 - 4 ** (1 / 3))
+_SUZUKI_MIDPOINTS = np.cumsum(_SUZUKI) - _SUZUKI / 2
+
+
+def _transport_grid_states(trajs, N: int = 256, L: float = 36.0, dt: float = 0.1):
     """Grid x and the split-step states at t = tau of the transport oracle,
     one row per trajectory in the order given.
 
-    Each trajectory takes ceil(2 tau/dt) equal steps from the trap ground
-    state at x(-tau) in its moving well V = (x - xbar(t))^2/2, with xbar at
-    the midpoint of each step.  The rows run as one stack, longest run
-    first; the kernel advances the prefix of rows that are still running,
-    one call per distinct end step, so each fixed cost of a step is paid
-    once for the whole stack.
+    Each trajectory takes ceil(2 tau/dt) equal steps h from the trap ground
+    state at x(-tau) in its moving well V = (x - xbar(t))^2/2.  A step is
+    Suzuki's fourth-order composition of five midpoint Strang substeps of
+    lengths p h, p h, (1 - 4p) h, p h, p h, with xbar at the midpoint of
+    each substep.  The rows run as one stack, longest run first; the kernel
+    advances the prefix of rows that are still running, one call per
+    distinct end step, so each fixed cost of a substep is paid once for the
+    whole stack.
     """
     dx = L / N
     x = (np.arange(N) - N // 2) * dx
@@ -172,6 +160,8 @@ def _transport_grid_states(trajs, N: int = 1024, L: float = 36.0, dt: float = 2e
     taus, n_steps = taus[order], n_steps[order]
     paths = [trajs[i].x for i in order]
     dts = (2 * taus / n_steps)[:, None]
+    stages = _SUZUKI[:, None, None] * dts
+    m = len(_SUZUKI)
     starts = np.array([float(np.asarray(path(-tau))) for path, tau in zip(paths, taus)])
     psi = np.pi ** (-0.25) * np.exp(-0.5 * (x - starts[:, None]) ** 2)
     psi = psi.astype(complex) / np.sqrt(np.sum(np.abs(psi) ** 2, axis=1, keepdims=True) * dx)
@@ -182,18 +172,18 @@ def _transport_grid_states(trajs, N: int = 1024, L: float = 36.0, dt: float = 2e
         if end == done:
             continue
 
-        def centre(s, k=k, done=done):
-            t = -taus[:k, None] + (s + done + 0.5) * dts[:k]
+        def centre(j, k=k, done=done):
+            t = -taus[:k, None] + (done + j // m + _SUZUKI_MIDPOINTS[j % m]) * dts[:k]
             return np.stack([path(row) for path, row in zip(paths, t)])
 
-        switching._split_step(psi[:k], _moving_well_kicks(x, dx, dts[:k], centre), dts[:k], dx, end - done)
+        switching._split_step(psi[:k], _moving_well_kicks(x, stages[:, :k], centre), stages[:, :k], dx, m * (end - done))
         done = end
     out = np.empty_like(psi)
     out[order] = psi
     return x, out
 
 
-def transport_grid_overlaps(trajs, N: int = 1024, L: float = 36.0, dt: float = 2e-3) -> list[float]:
+def transport_grid_overlaps(trajs, N: int = 256, L: float = 36.0, dt: float = 0.1) -> list[float]:
     """Independent split-step oracle for the transported-trap solver.
 
     Propagates the trap ground state of each trajectory on the grid (see
@@ -211,7 +201,7 @@ def transport_grid_overlaps(trajs, N: int = 1024, L: float = 36.0, dt: float = 2
     return overlaps
 
 
-def transport_grid_overlap(traj, N: int = 1024, L: float = 36.0, dt: float = 2e-3) -> float:
+def transport_grid_overlap(traj, N: int = 256, L: float = 36.0, dt: float = 0.1) -> float:
     """``transport_grid_overlaps`` for one trajectory."""
     return transport_grid_overlaps([traj], N, L, dt)[0]
 
@@ -635,13 +625,15 @@ def _scn_mott(cfg, outdir, seed):
 
 
 def _parse_kt_list(text: str) -> list[float]:
-    """Comma-separated temperatures kT/(hbar omega), each finite and >= 0."""
+    """Comma-separated temperatures kT/(hbar omega), each in [0, 10]: the
+    level count grows about linearly with kT and the fidelity QP about as
+    its cube, so kT = 10 (230 levels) takes about 1.6 s."""
     try:
         kts = [float(v) for v in text.split(",")]
     except ValueError:
         raise ValidationError(f"kt_list: expected comma-separated numbers, got {text!r}") from None
-    if not all(np.isfinite(kt) and kt >= 0 for kt in kts):
-        raise ValidationError(f"kt_list: every kT must be finite and >= 0, got {text!r}")
+    if not all(0 <= kt <= 10 for kt in kts):
+        raise ValidationError(f"kt_list: every kT must lie in [0, 10], got {text!r}")
     return kts
 
 

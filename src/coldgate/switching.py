@@ -16,17 +16,18 @@ The other grid propagations, ``propagate_ab``, ``_release_amplitudes`` and
 the transport oracle of ``cli``, run through one split-step kernel,
 ``_split_step``, which is also the test oracle of the spectral (b,b) series.
 It advances a stacked batch of wavefunctions, shape (k, N) or (k, N, N), in
-place with one ``scipy.fft`` transform pair per step for the whole batch:
-the transport oracle runs all its trajectories as one stack, each member
-with its own time step, dropping a member when its run ends.  Between
-observations the two half kicks that meet between steps are applied as one
-full kick, and a time-dependent potential supplies its kicks as tables
-built a chunk of steps at a time.
+place with one ``scipy.fft`` transform pair per step for the whole batch.
+The transport oracle runs all its trajectories as one stack, each member
+with its own time step, dropping a member when its run ends; it composes
+the Strang step to fourth order, so the kernel cycles through the kinetic
+factors of the composition's stages.  Between observations the two half
+kicks that meet between steps are applied as one full kick, and a
+time-dependent potential supplies each fused kick as the kernel draws it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import chain, cycle, repeat
 
 import numpy as np
 from scipy import fft
@@ -150,27 +151,32 @@ def _static_kicks(half):
 
 def _split_step(psi, kicks, dt, dx, n_steps, every=0, observe=None):
     """Advance the stacked batch ``psi``, of shape (k, N) or (k, N, N), in
-    place by ``n_steps`` Strang steps exp(-i dt V/2) exp(-i dt T) exp(-i dt V/2)
+    place by ``n_steps`` Strang substeps exp(-i dt V/2) exp(-i dt T) exp(-i dt V/2)
     with T = -(1/2) times the Laplacian on a periodic grid of spacing ``dx``.
 
     ``dt`` is a scalar, or a column with one step per member, shape (k, 1)
     for a (k, N) batch, so that each member advances with its own kinetic
-    factor.  ``kicks`` is the half kick exp(-i dt V/2) of a static potential,
-    which broadcasts against ``psi``, or, for a time-dependent potential, a
-    callable ``kicks(s0, s1)`` that yields the s1 - s0 + 1 position-space
-    factors of steps s0 .. s1-1 in order: the opening half kick of step s0,
-    the fused kicks exp(-i dt (V_{s-1} + V_s)/2) between steps, and the
-    closing half kick of step s1-1.
+    factor.  A composition of m substeps of different lengths passes a
+    stage axis in front, shape (m, k, 1): substep j then uses the steps of
+    stage j % m.  ``kicks`` is the half kick exp(-i dt V/2) of a static
+    potential, which broadcasts against ``psi``, or, for a time-dependent
+    potential, a callable ``kicks(s0, s1)`` that yields the s1 - s0 + 1
+    position-space factors of substeps s0 .. s1-1 in order: the opening
+    half kick of substep s0, the fused kicks exp(-i (dt_{j-1} V_{j-1} +
+    dt_j V_j)/2) between substeps, and the closing half kick of substep
+    s1-1.
 
-    The run is cut into segments of ``every`` steps (one segment when 0);
-    inside a segment the half kicks that meet are applied as one.
-    ``observe(s, psi)`` is called after each step s that is a multiple of
+    The run is cut into segments of ``every`` substeps (one segment when
+    0); inside a segment the half kicks that meet are applied as one.
+    ``observe(s, psi)`` is called after each substep s that is a multiple of
     ``every`` (of ``n_steps`` when ``every`` is 0).
     """
     if not callable(kicks):
         kicks = _static_kicks(kicks)
     k2 = [(2 * np.pi * np.fft.fftfreq(n, d=dx)) ** 2 for n in psi.shape[1:]]
     expK = np.exp(-0.5j * dt * sum(np.meshgrid(*k2, indexing="ij", sparse=True)))
+    # substep j takes the kinetic factor of stage j % m
+    kinetic = cycle(expK if np.ndim(dt) > psi.ndim else [expK])
     # 1D members transform along their last axis, 2D members over both
     forward, inverse = (fft.fft, fft.ifft) if psi.ndim == 2 else (fft.fft2, fft.ifft2)
     seg = every or max(n_steps, 1)
@@ -178,7 +184,7 @@ def _split_step(psi, kicks, dt, dx, n_steps, every=0, observe=None):
         s1 = min(s0 + seg, n_steps)
         factors = iter(kicks(s0, s1))
         psi *= next(factors)
-        for kick in factors:
+        for kick, expK in zip(factors, kinetic):
             # overwrite_x lets the transform reuse psi's buffer; out=psi keeps
             # the result there either way
             np.multiply(forward(psi, overwrite_x=True), expK, out=psi)

@@ -147,11 +147,21 @@ def test_nonfinite_path_parameter_exits_2(tmp_path):
     assert cli.main(["gate-moving", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2
 
 
-@pytest.mark.parametrize("kt_list", ["a,b", "0,,0.1", "0.1,-0.2", "0,nan", "inf"])
+# kT above 10 is rejected: the level count and the QP grow too fast with it
+@pytest.mark.parametrize("kt_list", ["a,b", "0,,0.1", "0.1,-0.2", "0,nan", "inf", "50,1e3", "10.5"])
 def test_fidelity_curve_bad_kt_list_exits_2(tmp_path, kt_list):
     cfgp = tmp_path / "c.cfg"
     cfgp.write_text(f"kt_list={kt_list}\n")
     assert cli.main(["fidelity-curve", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_fidelity_curve_single_kt(tmp_path):
+    # the lone number decodes as a JSON float, not as the list's text
+    cfgp = tmp_path / "c.cfg"
+    cfgp.write_text("kt_list=0.4\n")
+    assert cli.main(["fidelity-curve", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 0
+    rows = (tmp_path / "o" / "fidelity_curve.csv").read_text().splitlines()
+    assert len(rows) == 2 and float(rows[1].split(",")[0]) == 0.4
 
 
 @pytest.mark.parametrize(

@@ -101,4 +101,5 @@ def test_tracer_reads_transport_oracle(bench_modules):
     finally:
         restore()
     (span,) = [sp for sp in tracer.records() if sp["name"] == "cli.transport_grid_overlap"]
-    assert span["attrs"] == {"point_steps": 128 * math.ceil(2 * traj.tau / 2e-3)}
+    # N times the composition steps at the default dt = 0.1, not the substeps
+    assert span["attrs"] == {"point_steps": 128 * math.ceil(2 * traj.tau / 0.1)}

@@ -2,7 +2,8 @@
 
 Each reference below advances one wavefunction at a time with
 exp(-i dt V/2) exp(-i dt k^2/2) exp(-i dt V/2) and numpy's FFT, recomputing
-the kick at every step.  The kernel fuses kicks, stacks states and uses
+the kick at every step; the transport reference composes these steps as
+the oracle does.  The kernel fuses kicks, stacks states and uses
 scipy's FFT, so it agrees only to rounding.  The (b,b) channel is evolved
 exactly in time in the grid Hamiltonian's eigenbasis, so there the naive
 loop must converge to it as dt^2.
@@ -19,8 +20,14 @@ def _strang(psi, expV, expK, fft=np.fft.fft, ifft=np.fft.ifft):
     return expV * ifft(expK * fft(expV * psi))
 
 
-def _transport_reference(traj, N=1024, L=36.0, dt=2e-3):
-    """The grid state at t = tau and the transport oracle's overlap."""
+SUZUKI_P = 1 / (4 - 4 ** (1 / 3))
+SUZUKI = (SUZUKI_P, SUZUKI_P, 1 - 4 * SUZUKI_P, SUZUKI_P, SUZUKI_P)
+
+
+def _transport_reference(traj, N=256, L=36.0, dt=0.1, coeffs=SUZUKI):
+    """The grid state at t = tau and the transport oracle's overlap, from
+    ceil(2 tau/dt) steps of the composition of midpoint Strang substeps
+    whose lengths are ``coeffs`` times the step."""
     tau = traj.tau
     dx = L / N
     x = (np.arange(N) - N // 2) * dx
@@ -29,10 +36,13 @@ def _transport_reference(traj, N=1024, L=36.0, dt=2e-3):
     psi = psi.astype(complex) / np.sqrt(np.sum(np.abs(psi) ** 2) * dx)
     n_steps = int(np.ceil(2 * tau / dt))
     dt = 2 * tau / n_steps
-    expK = np.exp(-0.5j * dt * k**2)
     for s in range(n_steps):
-        V = 0.5 * (x - float(traj.x(-tau + (s + 0.5) * dt))) ** 2
-        psi = _strang(psi, np.exp(-0.5j * dt * V), expK)
+        t = -tau + s * dt
+        for c in coeffs:
+            h = c * dt
+            V = 0.5 * (x - float(traj.x(t + 0.5 * h))) ** 2
+            psi = _strang(psi, np.exp(-0.5j * h * V), np.exp(-0.5j * h * k**2))
+            t += h
     ref = moving.evolve_coherent(traj, tau).position_wavefunction(x, lab_frame=True)
     ref = ref / np.sqrt(np.sum(np.abs(ref) ** 2) * dx)
     return psi, float(np.abs(np.vdot(ref, psi) * dx) ** 2)
@@ -48,12 +58,13 @@ def test_ragged_transport_stack_matches_one_row_runs():
     # 2 tau/dt is not an integer on any path, so each row takes its own dt,
     # and the step counts differ, so rows leave the stack one at a time
     trajs = [
-        traps.sine_squared_path(2.0, 1.2345, 1.0),  # 1235 steps
-        traps.sine_squared_path(2.0, 2.0007, 0.5),  # 2001 steps
-        traps.gaussian_bump_path(1.0, 1.5003, 0.4),  # 1501 steps
+        traps.sine_squared_path(2.0, 1.2345, 1.0),  # 25 steps
+        traps.sine_squared_path(2.0, 2.0007, 0.5),  # 41 steps
+        traps.gaussian_bump_path(1.0, 1.5003, 0.4),  # 31 steps
     ]
-    dts = {2 * t.tau / np.ceil(2 * t.tau / 2e-3) for t in trajs}
-    assert len(dts) == 3 and 2e-3 not in dts
+    assert [int(np.ceil(2 * t.tau / 0.1)) for t in trajs] == [25, 41, 31]
+    dts = {2 * t.tau / np.ceil(2 * t.tau / 0.1) for t in trajs}
+    assert len(dts) == 3 and 0.1 not in dts
     _, states = cli._transport_grid_states(trajs)
     overlaps = cli.transport_grid_overlaps(trajs)
     for traj, state, overlap in zip(trajs, states, overlaps):
@@ -67,22 +78,38 @@ def test_ragged_transport_stack_matches_one_row_runs():
 
 @pytest.mark.parametrize("every", [0, 7])
 def test_moving_well_kicks_match_naive_loop(every):
-    # the fused kicks, scalar phases included, reproduce the state itself,
-    # whether the run is one segment or is cut for observation
+    # the fused kicks reproduce the state itself, whether the run is one
+    # segment or is cut for observation between the stages of a step
     traj = traps.sine_squared_path(2.0, 2.0, 0.5)
     expected, _ = _transport_reference(traj)
-    N, L, tau = 1024, 36.0, traj.tau
+    N, L, tau = 256, 36.0, traj.tau
     dx = L / N
     x = (np.arange(N) - N // 2) * dx
     psi = np.pi ** (-0.25) * np.exp(-0.5 * (x - float(traj.x(-tau))) ** 2)
     psi = psi.astype(complex) / np.sqrt(np.sum(np.abs(psi) ** 2) * dx)
-    n_steps = int(np.ceil(2 * tau / 2e-3))
+    n_steps = int(np.ceil(2 * tau / 0.1))
     dt = 2 * tau / n_steps
+    stages = dt * np.reshape(SUZUKI, (-1, 1, 1))
+    midpoints = dt * (np.cumsum(SUZUKI) - 0.5 * np.asarray(SUZUKI))
     seen = []
-    kicks = cli._moving_well_kicks(x, dx, dt, lambda s: traj.x(-tau + (s + 0.5) * dt))
-    switching._split_step(psi[None], kicks, dt, dx, n_steps, every=every, observe=lambda s, p: seen.append(s))
+    kicks = cli._moving_well_kicks(x, stages, lambda j: traj.x(-tau + j // 5 * dt + midpoints[j % 5])[None])
+    n_sub = 5 * n_steps
+    switching._split_step(psi[None], kicks, stages, dx, n_sub, every=every, observe=lambda s, p: seen.append(s))
     assert np.max(np.abs(psi - expected)) <= 1e-12
-    assert seen == (list(range(every, n_steps + 1, every)) if every else [n_steps])
+    assert seen == (list(range(every, n_sub + 1, every)) if every else [n_sub])
+
+
+def test_transport_oracle_is_fourth_order():
+    # halving the step cuts the change of the state about 16-fold, and at the
+    # default step the state agrees with a fine Strang run on the same grid
+    traj = traps.sine_squared_path(2.0, 2.0, 0.5)
+    states = {h: cli._transport_grid_states([traj], dt=h)[1][0] for h in (0.4, 0.2, 0.1, 0.05)}
+    for h in (0.4, 0.2):
+        big = np.max(np.abs(states[h] - states[h / 2]))
+        small = np.max(np.abs(states[h / 2] - states[h / 4]))
+        assert big >= 12 * small
+    fine, _ = _transport_reference(traj, dt=2.5e-4, coeffs=(1.0,))
+    assert np.max(np.abs(states[0.1] - fine)) <= 2e-6
 
 
 def _bb_reference(cfg, N, L, steps_per_period, n_periods, sigma_reg=0.0176):
