@@ -352,12 +352,12 @@ def _c_cm_analytic(ctx: AcceptContext):
 def _c_switching_fidelity(ctx: AcceptContext):
     cfg, bb = ctx.cfg, ctx.bb_series
     chan = fidelity.switching_channel(cfg, bb, tau=bb.tau, frame_tau=bb.tau)
-    F = fidelity.min_fidelity(chan, symmetrized=True)
+    F = fidelity.min_fidelity(chan)
 
     def factory(tau):
         return fidelity.switching_channel(cfg, bb, tau=tau, frame_tau=bb.tau)
 
-    curve = fidelity.timing_sensitivity(factory, bb.tau, delta=1e-3, n_side=24, symmetrized=True)
+    curve = fidelity.timing_sensitivity(factory, bb.tau, delta=1e-3, n_side=24)
     hw = curve.half_width / bb.period
     ok = F > 0.98 and 1e-3 / 3 <= hw <= 3e-3
     return ok, {"min_fidelity": F, "timing_half_width_over_T": hw}
@@ -388,12 +388,12 @@ def _c_perturbative_oracle(ctx: AcceptContext):
 
 def _c_mott_loading(ctx: AcceptContext):
     lat = mott.BoseHubbardLattice.with_superlattice(18, 18, J=1.0, U=30.0, mu=15.0, amplitude=40.0, period=9.0)
-    st = mott.gutzwiller_minimize(lat, seed=ctx.seed)
+    st = mott.gutzwiller_minimize(lat)
     rho = st.density
     dev_01 = float(np.max(np.minimum(np.abs(rho), np.abs(rho - 1.0))))
     var = float(np.max(st.number_variance))
     lat0 = mott.BoseHubbardLattice.with_superlattice(18, 18, J=0.0, U=30.0, mu=15.0, amplitude=40.0, period=9.0)
-    st0 = mott.gutzwiller_minimize(lat0, seed=ctx.seed)
+    st0 = mott.gutzwiller_minimize(lat0)
     n_star = np.argmax(mott._atomic_limit_f(lat0, st0.n_max), axis=-1)
     atomic_dev = float(np.max(np.abs(st0.density - n_star)))
     ok = dev_01 <= 1e-3 and var <= 1e-3 and atomic_dev <= 1e-10
@@ -603,7 +603,7 @@ def _scn_mott(cfg, outdir, seed):
         cfg["lx"], cfg["ly"], J=cfg["j"], U=cfg["u"], mu=cfg["mu"],
         amplitude=cfg["amplitude"], period=cfg["period"], boundary=cfg["boundary"],
     )
-    st = mott.gutzwiller_minimize(lat, n_max=cfg["n_max"], seed=seed)
+    st = mott.gutzwiller_minimize(lat, n_max=cfg["n_max"])
     labels = mott.phase_classify(st)
     rho, var, phi = st.density, st.number_variance, np.abs(st.order_parameter)
     rows = [
@@ -749,6 +749,10 @@ def _scn_qc_armada(cfg, outdir, seed):
 
 def _scn_accept(cfg, outdir, seed):
     only = [s for s in str(cfg["only"]).split(",") if s] if cfg["only"] else None
+    if only == []:
+        raise ValidationError(f"config key 'only': names no criterion, got {cfg['only']!r}")
+    if not (np.isfinite(cfg["tamper_lx_phase"]) and np.isfinite(cfg["tamper_g_scale"])):
+        raise ValidationError("config keys 'tamper_lx_phase' and 'tamper_g_scale' must be finite")
     ctx = AcceptContext(seed=seed, tamper_lx_phase=cfg["tamper_lx_phase"], tamper_g_scale=cfg["tamper_g_scale"])
     results = run_accept(ctx, only=only)
     all_pass = all(r["passed"] for r in results)

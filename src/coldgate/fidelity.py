@@ -77,12 +77,11 @@ class GateChannel:
     basis: tuple
     overlaps: Callable[[int, int], dict]
     two_mode: bool = True
-    name: str = ""
 
 
 def ideal_channel(symmetrized: bool = False) -> GateChannel:
     basis = ("aa", "ab", "bb") if symmetrized else ("aa", "ab", "ba", "bb")
-    return GateChannel(basis=basis, overlaps=lambda n1, n2: {s: 1.0 + 0j for s in basis}, name="ideal")
+    return GateChannel(basis=basis, overlaps=lambda n1, n2: {s: 1.0 + 0j for s in basis})
 
 
 def _levels(rho_ext: ThermalMotionalState | None, two_mode: bool):
@@ -153,7 +152,6 @@ def _simplex_qp_min(Q: np.ndarray):
 def min_fidelity(
     channel: GateChannel,
     rho_ext: ThermalMotionalState | None = None,
-    symmetrized: bool = False,
     return_state: bool = False,
 ):
     """Minimum of the channel fidelity over all normalized internal inputs.
@@ -165,13 +163,10 @@ def min_fidelity(
     clipped to [0, 1]; with ``return_state`` the minimizing input
     c_s = sqrt(w_s) is returned as a {label: amplitude} dict.
     """
-    basis = channel.basis
-    if symmetrized and "ba" in basis:
-        raise ValidationError("symmetrized minimization needs a symmetrized channel basis")
     f, w = _simplex_qp_min(_fidelity_matrix(channel, rho_ext))
     fmin = float(np.clip(f, 0.0, 1.0))
     if return_state:
-        return fmin, dict(zip(basis, np.sqrt(w)))
+        return fmin, dict(zip(channel.basis, np.sqrt(w)))
     return fmin
 
 
@@ -239,7 +234,7 @@ def moving_channel(
             "bb": atom_amp("b", n1) * atom_amp("b", n2),
         }
 
-    return GateChannel(basis=basis, overlaps=overlaps, name="moving")
+    return GateChannel(basis=basis, overlaps=overlaps)
 
 
 def switching_channel(
@@ -279,7 +274,7 @@ def switching_channel(
     v_ab = a_ab * np.exp(-1j * (lam_a + lam_b))
     v_bb = a_bb * np.exp(-1j * (2 * lam_b + target_phase))
     vs = {"aa": complex(v_aa), "ab": complex(v_ab), "bb": complex(v_bb)}
-    return GateChannel(basis=("aa", "ab", "bb"), overlaps=lambda n1, n2: vs, two_mode=False, name="switching")
+    return GateChannel(basis=("aa", "ab", "bb"), overlaps=lambda n1, n2: vs, two_mode=False)
 
 
 @dataclass
@@ -295,13 +290,12 @@ def timing_sensitivity(
     delta: float,
     n_side: int = 24,
     rho_ext: ThermalMotionalState | None = None,
-    symmetrized: bool = False,
     drop: float = 0.01,
 ) -> TimingCurve:
     """Sample F(tau0 + k*delta) and report the half-width at which the
     fidelity has dropped by ``drop`` below its maximum."""
     offs = np.arange(-n_side, n_side + 1) * delta
-    fs = np.array([min_fidelity(channel_factory(tau0 + o), rho_ext, symmetrized=symmetrized) for o in offs])
+    fs = np.array([min_fidelity(channel_factory(tau0 + o), rho_ext) for o in offs])
     fmax = float(fs.max())
     half = float("inf")
     thresh = fmax - drop

@@ -5,7 +5,8 @@ The variational state is site-factorized, Prod_i Sum_n f_n(i)|n>_i; the
 ground state follows from red-black (colour-class) sweeps of single-site
 diagonalizations, with the neighbour order parameters as a self-consistent
 hopping field.  The sites of one colour class share no neighbour, so each
-class is diagonalized at once by one batched ``eigh``.
+class is diagonalized at once by one batched ``eigh``.  The sweeps run from
+two deterministic starts, the atomic limit and ``_superfluid_start``.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ class BoseHubbardLattice:
     mu: float
     eps: np.ndarray | None = None
     boundary: str = "periodic"
-    a: float = 1.0
 
     def __post_init__(self):
         if not all(np.isfinite(v) for v in (self.J, self.U, self.mu)):
@@ -213,29 +213,35 @@ def _sweep_to_convergence(lat, f, n_max, tol_f=1e-8, tol_e=1e-10, max_sweeps=400
     return f.reshape(lat.Lx, lat.Ly, d), max_sweeps, False
 
 
-def gutzwiller_minimize(lattice: BoseHubbardLattice, n_max: int = 6, seed: int = 0, restarts: int = 3, max_sweeps: int = 4000) -> GutzwillerState:
+def _superfluid_start(lat: BoseHubbardLattice, n_max: int):
+    """The atomic limit plus 1e-2 at n0 - 1 and n0 + 1 at phase q_x i + q_y j,
+    normalised per site: q = 0 for J >= 0, else pi (opposite neighbours), or
+    pi (L - 1)/L on a periodic side of odd length L, a frustrated ring."""
+    periodic = lat.boundary == "periodic"
+    qx, qy = (0.0 if lat.J >= 0 else np.pi * (L - 1) / L if periodic and L % 2 else np.pi for L in (lat.Lx, lat.Ly))
+    twist = 1e-2 * np.exp(1j * np.add.outer(qx * np.arange(lat.Lx), qy * np.arange(lat.Ly)))[:, :, None]
+    a = _atomic_limit_f(lat, n_max)
+    p = np.pad(a, ((0, 0), (0, 0), (1, 1)))
+    f = a + twist * (p[:, :, :-2] + p[:, :, 2:])
+    return f / np.linalg.norm(f, axis=2, keepdims=True)
+
+
+def gutzwiller_minimize(lattice: BoseHubbardLattice, n_max: int = 6, max_sweeps: int = 4000) -> GutzwillerState:
     """Self-consistent Gutzwiller ground state.
 
-    Atomic-limit warm start plus ``restarts`` seeded random starts; the
-    lowest-energy converged solution wins, ties broken by lowest total
-    particle number.  Raises NotConverged only if no start converges; the
-    best non-converged state is attached to the exception as ``.state``.
+    Two deterministic starts, the atomic limit and ``_superfluid_start``;
+    the lowest-energy converged solution wins, ties broken by lowest total
+    particle number, then by the atomic start.  The sweeps descend locally,
+    so no set of starts guarantees the global minimum.  Raises NotConverged
+    only if no start converges; the best non-converged state is attached to
+    the exception as ``.state``.
     """
     if n_max < 1:
         raise ValidationError("n_max must be >= 1")
-    if restarts < 0:
-        raise ValidationError("restarts must be >= 0")
     if max_sweeps < 1:
         raise ValidationError("max_sweeps must be >= 1")
-    rng = np.random.default_rng(seed)
-    starts = [_atomic_limit_f(lattice, n_max)]
-    for _ in range(restarts):
-        f = rng.standard_normal((lattice.Lx, lattice.Ly, n_max + 1))
-        f /= np.linalg.norm(f, axis=2, keepdims=True)
-        starts.append(f)
-
     best = None
-    for f0 in starts:
+    for f0 in (_atomic_limit_f(lattice, n_max), _superfluid_start(lattice, n_max)):
         f, sweeps, ok = _sweep_to_convergence(lattice, f0, n_max, max_sweeps=max_sweeps)
         st = GutzwillerState(lattice=lattice, f=f, converged=ok, sweeps=sweeps)
         key = (not ok, round(st.energy(), 9), round(st.total_particles, 9))

@@ -68,6 +68,19 @@ def test_mott_scenario_reproducible(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_mott_output_does_not_depend_on_seed(tmp_path):
+    # at j=3 the old random restarts of seeds 0 and 1 settled in different
+    # states (energies -469.835714 and -469.889719)
+    cfgp = tmp_path / "c.cfg"
+    cfgp.write_text("j=3\n")
+    outs = []
+    for seed in ("0", "1"):
+        out = tmp_path / seed
+        assert cli.main(["mott", "--config", str(cfgp), "--out", str(out), "--seed", seed]) == 0
+        outs.append([(out / name).read_bytes() for name in ("summary.json", "density.csv")])
+    assert outs[0] == outs[1]
+
+
 _QFT_CSV = """\
 input,max_abs_dev
 000,5.5511151231257827e-17
@@ -133,6 +146,28 @@ def test_accept_rejects_unknown_criterion(tmp_path):
     cfgp = tmp_path / "c.cfg"
     cfgp.write_text("only=not-a-criterion\n")
     assert cli.main(["accept", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("key", ["tamper_lx_phase", "tamper_g_scale"])
+def test_accept_nonfinite_tamper_exits_2(tmp_path, key, value):
+    cfgp = tmp_path / "c.cfg"
+    cfgp.write_text(f"only=syndrome-table\n{key}={value}\n")
+    assert cli.main(["accept", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_accept_negative_g_scale_is_a_tamper(tmp_path):
+    cfgp = tmp_path / "c.cfg"
+    cfgp.write_text("only=switching-revival\ntamper_g_scale=-1.0\n")
+    assert cli.main(["accept", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 1
+
+
+@pytest.mark.parametrize("only", [",", ",,"])
+def test_accept_only_naming_nothing_exits_2(tmp_path, only):
+    cfgp = tmp_path / "c.cfg"
+    cfgp.write_text(f"only={only}\n")
+    assert cli.main(["accept", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o" / "accept_report.json").exists()
 
 
 def test_benchmark_trajectories_shapes():

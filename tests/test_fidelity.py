@@ -28,7 +28,7 @@ def test_thermal_state_negative_kt_rejected():
 
 def test_ideal_channel_is_perfect():
     assert fidelity.min_fidelity(fidelity.ideal_channel()) == pytest.approx(1.0, abs=1e-9)
-    assert fidelity.min_fidelity(fidelity.ideal_channel(symmetrized=True), symmetrized=True) == pytest.approx(1.0, abs=1e-9)
+    assert fidelity.min_fidelity(fidelity.ideal_channel(symmetrized=True)) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_min_fidelity_finds_phase_conflict():
@@ -51,11 +51,6 @@ def test_min_fidelity_pure_loss_channel():
     ws = np.linspace(0, 1, 20001)
     ref = np.min((1 - ws + ws * o) ** 2 + ws**2 * (1 - o**2))
     assert f == pytest.approx(float(ref), abs=1e-6)
-
-
-def test_symmetrized_flag_requires_symmetrized_basis():
-    with pytest.raises(ValidationError):
-        fidelity.min_fidelity(fidelity.ideal_channel(), symmetrized=True)
 
 
 def test_moving_channel_trivial_paths_are_ideal():
@@ -83,7 +78,7 @@ def test_switching_channel_reference_point(ref_cfg, bb_series):
     assert np.angle(vs["aa"]) == pytest.approx(0.0, abs=1e-9)
     assert abs(np.angle(vs["ab"])) < 1e-6
     assert abs(vs["bb"]) == pytest.approx(np.sqrt(bb_series.revival) * abs(switching.cm_overlap_complex(2.0, 1.0, bb_series.tau)), abs=5e-3)
-    f = fidelity.min_fidelity(chan, symmetrized=True)
+    f = fidelity.min_fidelity(chan)
     assert f > 0.98
 
 
@@ -91,7 +86,7 @@ def test_timing_sensitivity_shape(ref_cfg, bb_series):
     def factory(tau):
         return fidelity.switching_channel(ref_cfg, bb_series, tau=tau, frame_tau=bb_series.tau)
 
-    curve = fidelity.timing_sensitivity(factory, bb_series.tau, delta=2e-3, n_side=6, symmetrized=True)
+    curve = fidelity.timing_sensitivity(factory, bb_series.tau, delta=2e-3, n_side=6)
     assert len(curve.offsets) == 13
     imax = int(np.argmax(curve.fidelity))
     assert np.isfinite(curve.half_width)
