@@ -59,12 +59,18 @@ def _write_json(path, obj):
 
 
 def parse_config_file(path: str) -> dict:
-    """Flat key=value text (# comments) or a JSON object."""
-    with open(path) as fh:
-        text = fh.read()
+    """Flat key=value text (# comments) or a JSON object, in UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise ValidationError(f"cannot read config {path!r}: {e}") from e
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        obj = json.loads(text)
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError as e:
+            raise ValidationError(f"config {path!r}: bad JSON: {e}") from e
         if not isinstance(obj, dict):
             raise ValidationError("JSON config must be an object")
         return obj

@@ -70,13 +70,11 @@ class GateChannel:
     """Internal-basis channel description.
 
     basis: internal pair labels; overlaps(n1, n2) returns {s: v_s} for both
-    atoms starting in motional levels n1, n2.  two_mode=False means the
-    channel does not resolve per-atom levels (evaluated at (0, 0) only).
+    atoms starting in motional levels n1, n2.
     """
 
     basis: tuple
     overlaps: Callable[[int, int], dict]
-    two_mode: bool = True
 
 
 def ideal_channel(symmetrized: bool = False) -> GateChannel:
@@ -84,13 +82,11 @@ def ideal_channel(symmetrized: bool = False) -> GateChannel:
     return GateChannel(basis=basis, overlaps=lambda n1, n2: {s: 1.0 + 0j for s in basis})
 
 
-def _levels(rho_ext: ThermalMotionalState | None, two_mode: bool):
+def _levels(rho_ext: ThermalMotionalState | None):
     """(p, n1, n2) triples for the thermal product ensemble, plus leftover
     mass.  Levels beyond the truncation contribute zero fidelity (a lower
     bound), so the leftover mass never enters the fidelity."""
     if rho_ext is None or rho_ext.kT == 0:
-        return [(1.0, 0, 0)], 0.0
-    if not two_mode:
         return [(1.0, 0, 0)], 0.0
     p = rho_ext.p
     levs = [(float(p[i] * p[j]), i, j) for i in range(len(p)) for j in range(len(p))]
@@ -100,7 +96,7 @@ def _levels(rho_ext: ThermalMotionalState | None, two_mode: bool):
 
 def _overlap_table(channel: GateChannel, rho_ext: ThermalMotionalState | None):
     """Level-pair probabilities p (levels,) and overlaps V (levels, basis)."""
-    levs, _ = _levels(rho_ext, channel.two_mode)
+    levs, _ = _levels(rho_ext)
     p = np.array([plev for plev, _, _ in levs])
     V = np.array([[d[s] for s in channel.basis] for d in (channel.overlaps(n1, n2) for _, n1, n2 in levs)], dtype=complex)
     return p, V
@@ -254,7 +250,8 @@ def switching_channel(
     ``cm_overlap_complex`` at its well offset.  The bb channel carries the
     interacting relative-coordinate amplitude of ``bb_series`` times the
     closed-form center-of-mass amplitude (offset 0), compared against the
-    target collisional phase (pi).
+    target collisional phase (pi).  The overlaps are those of the motional
+    ground state, whatever the levels.
     """
     if tau is None:
         tau = bb_series.tau
@@ -274,7 +271,7 @@ def switching_channel(
     v_ab = a_ab * np.exp(-1j * (lam_a + lam_b))
     v_bb = a_bb * np.exp(-1j * (2 * lam_b + target_phase))
     vs = {"aa": complex(v_aa), "ab": complex(v_ab), "bb": complex(v_bb)}
-    return GateChannel(basis=("aa", "ab", "bb"), overlaps=lambda n1, n2: vs, two_mode=False)
+    return GateChannel(basis=("aa", "ab", "bb"), overlaps=lambda n1, n2: vs)
 
 
 @dataclass

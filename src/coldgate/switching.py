@@ -9,8 +9,9 @@ its g=0 reference, in the lowest even eigenpairs of the periodic grid
 Hamiltonian.  On even functions the grid's FFT kinetic energy is a DCT-I,
 so a block LOBPCG finds those pairs without forming a matrix, and the
 resolution precheck repeats the solve on the 2N grid, warm-started from the
-N eigenvectors.  The (a,b) channel needs the full 2D two-particle grid and
-does not revive.
+N eigenvectors.  The series keeps the spectrum, so every (b,b) value read
+between samples, the revival peaks included, is the exact one at its t.
+The (a,b) channel needs the full 2D two-particle grid and does not revive.
 
 The other grid propagations, ``propagate_ab``, ``_release_amplitudes`` and
 the transport oracle of ``cli``, run through one split-step kernel,
@@ -26,7 +27,7 @@ time-dependent potential supplies each fused kick as the kernel draws it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain, cycle, repeat
 
 import numpy as np
@@ -199,7 +200,13 @@ def _regularized_delta(x, sigma):
 
 @dataclass
 class SwitchTimeSeries:
-    """Sampled gate dynamics (times in units of 1/omega, T = 2 pi)."""
+    """Gate dynamics sampled at the times t (units of 1/omega, T = 2 pi).
+
+    The (b,b) series of ``propagate`` keeps its ``spectrum``, so
+    ``amp_init_at``, ``phase_at`` and the revival fields are exact at any t,
+    not read between samples.  The (a,b) series of ``propagate_ab`` has no
+    spectrum and carries only its samples: its revival fields are NaN, and
+    ``amp_init_at`` and ``phase_at`` need the spectrum, so they do not apply."""
 
     t: np.ndarray
     phase: np.ndarray
@@ -207,56 +214,25 @@ class SwitchTimeSeries:
     overlap_init: np.ndarray
     amp_init: np.ndarray
     period: float
-    deltaT: float
-    tau: float
-    phase_final: float
-    revival: float
+    deltaT: float = np.nan
+    tau: float = np.nan
+    phase_final: float = np.nan
+    revival: float = np.nan
     revival_times: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    spectrum: _BBSpectrum | None = None
     basis_size: int = 0
     solver_iterations: int = 0
     tail_weight: float = 0.0
     precheck_delta: float | None = None
 
     def phase_at(self, t: float) -> float:
-        return float(np.interp(t, self.t, self.phase))
+        """The phase at t, on the 2 pi branch of the nearest sample."""
+        p = -np.angle(self.spectrum.amplitudes(np.atleast_1d(t))[1, 0])
+        near = self.phase[np.argmin(np.abs(self.t - t))]
+        return float(p + 2 * np.pi * np.round((near - p) / (2 * np.pi)))
 
     def amp_init_at(self, t: float) -> complex:
-        return complex(np.interp(t, self.t, self.amp_init.real) + 1j * np.interp(t, self.t, self.amp_init.imag))
-
-
-def _refine_peak(t, y, idx):
-    """Parabolic interpolation of a local maximum around sample idx."""
-    if idx <= 0 or idx >= len(y) - 1:
-        return t[idx], y[idx]
-    y0, y1, y2 = y[idx - 1], y[idx], y[idx + 1]
-    denom = y0 - 2 * y1 + y2
-    if denom == 0:
-        return t[idx], y[idx]
-    d = 0.5 * (y0 - y2) / denom
-    d = float(np.clip(d, -1.0, 1.0))
-    tp = t[idx] + d * (t[idx + 1] - t[idx])
-    yp = y1 - 0.25 * (y0 - y2) * d
-    return float(tp), float(yp)
-
-
-def _extract_revivals(t, ov, period, n_periods):
-    """Locate the revival maximum near each k*T and fit the drift:
-    peak_k ~ k (T + deltaT)."""
-    peaks = []
-    for k in range(1, n_periods + 1):
-        lo, hi = (k - 0.12) * period, (k + 0.12) * period
-        m = (t >= lo) & (t <= hi)
-        if not np.any(m):
-            continue
-        seg_t, seg_y = t[m], ov[m]
-        idx = int(np.argmax(seg_y))
-        gidx = np.flatnonzero(m)[idx]
-        tp, yp = _refine_peak(t, ov, gidx)
-        peaks.append((k, tp, yp))
-    ks = np.array([p[0] for p in peaks], dtype=float)
-    tp = np.array([p[1] for p in peaks])
-    deltaT = float(np.sum(ks * tp) / np.sum(ks**2) - period)
-    return deltaT, peaks
+        return complex(self.spectrum.amplitudes(np.atleast_1d(t))[0, 0])
 
 
 def _bb_initial_state(cfg: SwitchingConfig, x):
@@ -278,6 +254,7 @@ RESIDUAL_TOL = 1e-11  # residual bound, relative to k_max^2/2 + max V
 GRAM_DROP = 1e-12  # Gram eigenvalue below which a new direction is dropped
 MAX_ITERATIONS = 100
 SERIES_CHUNK = 1024  # samples per chunk of the amplitude series
+NEWTON_STEPS = 4  # from a sampled maximum: at 4000 samples per period 2 already land within 1e-13
 
 
 class _EvenSector:
@@ -415,14 +392,16 @@ class _BBSpectrum:
     grid Hamiltonian (energies E, amplitudes c_n = <phi_n|psi0>) and of its
     g=0 reference (E0, d_m = <chi_m|psi0>), with overlaps O = <chi_m|phi_n>.
     ``vectors`` is the interacting solve's whole block as grid values at
-    x = 0 .. L/2; ``iterations`` counts the LOBPCG iterations of both solves."""
+    x = 0 .. L/2, which warm-starts the precheck and is not kept in the
+    series (None there); ``iterations`` counts the LOBPCG iterations of
+    both solves."""
 
     E: np.ndarray
     c: np.ndarray
     E0: np.ndarray
     d: np.ndarray
     O: np.ndarray
-    vectors: np.ndarray
+    vectors: np.ndarray | None
     iterations: int
 
     @property
@@ -441,6 +420,22 @@ class _BBSpectrum:
             out[0, s : s + SERIES_CHUNK] = psi @ self.c
             out[1, s : s + SERIES_CHUNK] = (psi @ self.O.T * np.exp(1j * tc * self.E0)) @ self.d
         return out
+
+    def revival_peaks(self, t, overlap, n_periods):
+        """The maxima of |a(t)|^2, a = <psi0|psi(t)> = sum c_n^2 e^{-i E_n t},
+        near each k T, k = 1 .. n_periods: NEWTON_STEPS Newton steps on
+        d|a|^2/dt = 2 Re(a* a') from the sampled maximum of ``overlap`` at
+        the times ``t`` within 0.12 T of k T, all peaks at once."""
+        period = 2 * np.pi
+        windows = [np.flatnonzero(np.abs(t - k * period) <= 0.12 * period) for k in range(1, n_periods + 1)]
+        tp = np.array([t[w[np.argmax(overlap[w])]] for w in windows])
+        w = self.c**2
+        for _ in range(NEWTON_STEPS):
+            rot = np.exp(-1j * np.outer(tp, self.E))
+            a, a1, a2 = rot @ w, rot @ (-1j * self.E * w), rot @ (-self.E**2 * w)
+            # d/dt Re(a* a') = |a'|^2 + Re(a* a'')
+            tp -= np.real(np.conj(a) * a1) / (np.abs(a1) ** 2 + np.real(np.conj(a) * a2))
+        return tp
 
 
 def _bb_spectrum(cfg: SwitchingConfig, grid: TwoParticleGrid, g_tilde, sigma_reg, start=None) -> _BBSpectrum:
@@ -485,12 +480,14 @@ def propagate(
     side by side with a g=0 reference, both exactly in time: the initial
     state is expanded in the lowest BASIS_SIZE even eigenpairs of the
     periodic grid Hamiltonian of N points (N must be even) and length L,
-    for the interacting potential and for the reference.
-    ``steps_per_period`` is only the sampling rate of the series: the
-    evolution itself is exact, and only what is read between samples (the
-    revival peaks, ``phase_at``, ``amp_init_at``) depends on it.  Returns
-    the phase relative to the reference, the overlap series, and the
-    revival period shift deltaT.
+    for the interacting potential and for the reference.  Returns the
+    phase relative to the reference and the overlaps, sampled
+    ``steps_per_period`` times a period, with the spectrum, which gives
+    them exactly at any t.  The revival near each k T is the maximum of
+    |<psi0|psi(t)>|^2 found by Newton's method from the sampled one; a fit
+    through them gives the revival period shift deltaT, and tau =
+    n_periods (T + deltaT).  So ``steps_per_period`` sets only the written
+    samples and the 2 pi branch of ``phase_at``.
 
     ``NormLoss`` is raised when the initial state has weight above 1e-6
     outside either basis.  With ``check_convergence`` the phase after one
@@ -538,28 +535,30 @@ def propagate(
         )
 
     a_init, a_ref = spec.amplitudes(t)
-    phase = -np.unwrap(np.angle(a_ref))
     ov_init = np.abs(a_init) ** 2
-    deltaT, peaks = _extract_revivals(t, ov_init, period, n_periods)
-    tau = n_periods * (period + deltaT)
-    _, revival = _refine_peak(t, ov_init, int(np.argmin(np.abs(t - tau))))
-    return SwitchTimeSeries(
+    peaks = spec.revival_peaks(t, ov_init, n_periods)
+    # peak_k ~ k (T + deltaT), fitted through the origin
+    ks = np.arange(1, n_periods + 1)
+    deltaT = float(ks @ peaks / (ks @ ks) - period)
+    ser = SwitchTimeSeries(
         t=t,
-        phase=phase,
+        phase=-np.unwrap(np.angle(a_ref)),
         overlap_ref=np.abs(a_ref) ** 2,
         overlap_init=ov_init,
         amp_init=a_init,
         period=period,
         deltaT=deltaT,
-        tau=tau,
-        phase_final=float(np.interp(tau, t, phase)),
-        revival=float(revival),
-        revival_times=np.array([p[1] for p in peaks]),
+        tau=n_periods * (period + deltaT),
+        revival_times=peaks,
+        spectrum=replace(spec, vectors=None),  # only the precheck needs the eigenvectors
         basis_size=len(spec.E),
         solver_iterations=spec.iterations,
         tail_weight=spec.tail_weight,
         precheck_delta=precheck_delta,
     )
+    ser.phase_final = ser.phase_at(ser.tau)
+    ser.revival = abs(ser.amp_init_at(ser.tau)) ** 2
+    return ser
 
 
 def _propagate_bb_once(cfg, grid, g_tilde, sigma_reg, n_periods, steps_per_period, start=None):
@@ -582,10 +581,9 @@ def propagate_ab(
     """Full 2D (x1, x2) propagation of the (a,b) channel.
 
     The a atom stays in its double well while the b atom oscillates through
-    the merged well; the joint state does not return to itself, so its
-    revival fields only describe the sampled overlap.  Single-particle
-    oscillator units of the merged well.  The state and its g=0 reference
-    are sampled every 4 steps.
+    the merged well; the joint state does not return to itself, so the
+    series has no revival fields.  Single-particle oscillator units of the
+    merged well.  The state and its g=0 reference are sampled every 4 steps.
     """
     period = 2 * np.pi
     dt = period / steps_per_period
@@ -624,24 +622,14 @@ def propagate_ab(
     if not abs(nrm - 1.0) <= 1e-6:
         raise NormLoss(f"norm drifted to {nrm:.8f}")
 
-    t = np.arange(0, n_steps + 1, every) * dt
     a_init, a_ref = amp
-    phase = -np.unwrap(np.angle(a_ref))
-    ov_init = np.abs(a_init) ** 2
-    deltaT, peaks = _extract_revivals(t, ov_init, period, n_periods)
-    tau = n_periods * (period + deltaT)
     return SwitchTimeSeries(
-        t=t,
-        phase=phase,
+        t=np.arange(0, n_steps + 1, every) * dt,
+        phase=-np.unwrap(np.angle(a_ref)),
         overlap_ref=np.abs(a_ref) ** 2,
-        overlap_init=ov_init,
+        overlap_init=np.abs(a_init) ** 2,
         amp_init=a_init,
         period=period,
-        deltaT=deltaT,
-        tau=tau,
-        phase_final=float(np.interp(tau, t, phase)),
-        revival=float(np.interp(tau, t, ov_init)),
-        revival_times=np.array([p[1] for p in peaks]),
     )
 
 
@@ -690,7 +678,7 @@ def net_phase_gate(
         phi_ab = 0.0
     elif variant == "aligned":
         ab = propagate_ab(cfg, n_periods=min(n, 2))
-        phi_ab = ab.phase_at(ab.t[-1]) / (ab.t[-1] / series.period) * n  # per-period extrapolation
+        phi_ab = ab.phase[-1] / (ab.t[-1] / series.period) * n  # per-period extrapolation
     else:
         raise ValidationError(f"unknown variant {variant!r}")
     return NetPhaseResult(net_phase=phi_bb - 2 * phi_ab, tau=series.tau, phi_bb_total=phi_bb, phi_ab_total=phi_ab)

@@ -253,12 +253,22 @@ def test_qc_bad_input_exits_2(tmp_path, scenario, lines):
         ("gate-moving", "n_samples=0"),  # was a header-only trajectory.csv
         ("gate-moving", "n_samples=-3"),  # was a ValueError from linspace
         ("qc-ghz", "n=30"),  # 31 sites, refused before 2^30 amplitudes are built
+        ("qc-ghz", '{"n": 4'),  # malformed JSON was a traceback and exit 1
     ],
 )
 def test_bad_input_exits_2(tmp_path, scenario, line):
     cfgp = tmp_path / "c.cfg"
     cfgp.write_text(line + "\n")
     assert cli.main([scenario, "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("content", [None, b"n=4 # \xff\n"], ids=["missing", "not-utf8"])
+def test_unreadable_config_exits_2(tmp_path, content):
+    # both were a traceback and exit 1, which is kept for a failed gate
+    cfgp = tmp_path / "c.cfg"
+    if content is not None:
+        cfgp.write_bytes(content)
+    assert cli.main(["qc-ghz", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2
 
 
 def _bit_reversed_dft_column_loop(a_bits):

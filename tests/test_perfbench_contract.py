@@ -12,7 +12,7 @@ import pytest
 
 import numpy as np
 
-from coldgate import cli, fidelity, mott, qc, traps
+from coldgate import cli, fidelity, mott, qc, switching, traps
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -103,3 +103,21 @@ def test_tracer_reads_transport_oracle(bench_modules):
     (span,) = [sp for sp in tracer.records() if sp["name"] == "cli.transport_grid_overlap"]
     # N times the composition steps at the default dt = 0.1, not the substeps
     assert span["attrs"] == {"point_steps": 128 * math.ceil(2 * traj.tau / 0.1)}
+
+
+def test_tracer_reads_bb_propagation(bench_modules, ref_cfg):
+    # the (b,b) probes read ``channel``, ``N``, ``n_periods`` and
+    # ``steps_per_period`` of ``propagate``, and ``grid``, ``n_periods`` and
+    # ``steps_per_period`` of the precheck's ``_propagate_bb_once``
+    layers, spans = bench_modules
+    tracer = spans.Tracer("t")
+    restore = layers.install(tracer)
+    try:
+        switching.propagate(ref_cfg, ("b", "b"), n_periods=1, N=2048, steps_per_period=200)
+    finally:
+        restore()
+    records = tracer.records()
+    (top,) = [sp for sp in records if sp["name"] == "switching.propagate"]
+    (pre,) = [sp for sp in records if sp["name"] == "switching.precheck"]
+    assert top["attrs"] == {"point_steps": 2048 * 220 * 2}
+    assert pre["attrs"] == {"point_steps": 4096 * 200 * 2}

@@ -166,6 +166,40 @@ def test_series_interpolators(bb_series):
     assert abs(amp) ** 2 == pytest.approx(bb_series.revival, abs=5e-4)
 
 
+def test_series_reads_are_exact_between_samples(ref_cfg, bb_series):
+    # halfway between samples, around each revival and the gate time, where
+    # a linear read of the amplitude sagged |a|^2 by up to 2e-4
+    mu = ref_cfg.mass / 2
+    g = ref_cfg.g1d("bb") / (traps.HBAR * ref_cfg.omega * np.sqrt(traps.HBAR / (mu * ref_cfg.omega)))
+    spec = switching._bb_spectrum(ref_cfg, switching.TwoParticleGrid(L=32.0, N=4096, dt=1.0), g, 0.0176)
+    dt = bb_series.t[1]
+    near = np.concatenate([bb_series.revival_times, [bb_series.tau]])
+    t = (np.round(near / dt)[:, None] + np.arange(-20, 20) + 0.5).ravel() * dt
+    a_init, a_ref = spec.amplitudes(t)
+    assert np.max(np.abs([bb_series.amp_init_at(s) for s in t] - a_init)) <= 1e-12
+    phase = np.array([bb_series.phase_at(s) for s in t])
+    assert np.max(np.abs(np.exp(-1j * phase) - a_ref / np.abs(a_ref))) <= 1e-12
+    # on the branch of the neighbouring samples
+    assert np.max(np.abs(phase - np.interp(t, bb_series.t, bb_series.phase))) <= 1e-3
+
+
+def test_revival_peaks_are_dense_scan_maxima(bb_series):
+    T, step = bb_series.period, 1e-5 * bb_series.period
+    for k, peak in enumerate(bb_series.revival_times, 1):
+        t = np.arange((k - 0.12) * T, (k + 0.12) * T, step)
+        ov = np.abs(bb_series.spectrum.amplitudes(t)[0]) ** 2
+        assert abs(peak - t[np.argmax(ov)]) <= step
+        assert abs(bb_series.amp_init_at(peak)) ** 2 >= np.max(ov)
+
+
+def test_revival_reads_do_not_depend_on_sampling(ref_cfg, bb_series):
+    # steps_per_period sets only the written samples and the branch of phase_at
+    coarse = switching.propagate(ref_cfg, ("b", "b"), steps_per_period=10, check_convergence=False)
+    assert np.max(np.abs(coarse.revival_times - bb_series.revival_times)) <= 1e-12
+    got = (coarse.tau, coarse.revival, coarse.phase_final)
+    assert got == pytest.approx((bb_series.tau, bb_series.revival, bb_series.phase_final), abs=1e-12)
+
+
 def _centred_overlap(omega0, omega, t):
     """The x0 = 0 closed form as written before the well offset was added."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
