@@ -201,7 +201,7 @@ def transport_grid_overlaps(trajs, N: int = 256, L: float = 36.0, dt: float = 0.
     dx = L / N
     overlaps = []
     for traj, row in zip(trajs, psi):
-        ref = moving.evolve_coherent(traj, traj.tau).position_wavefunction(x, lab_frame=True)
+        ref = moving.evolve_coherent(traj, traj.tau).position_wavefunction(x)
         ref = ref / np.sqrt(np.sum(np.abs(ref) ** 2) * dx)
         overlaps.append(float(np.abs(np.vdot(ref, row) * dx) ** 2))
     return overlaps
@@ -357,11 +357,11 @@ def _c_cm_analytic(ctx: AcceptContext):
 
 def _c_switching_fidelity(ctx: AcceptContext):
     cfg, bb = ctx.cfg, ctx.bb_series
-    chan = fidelity.switching_channel(cfg, bb, tau=bb.tau, frame_tau=bb.tau)
+    chan = fidelity.switching_channel(cfg, bb, bb.tau)
     F = fidelity.min_fidelity(chan)
 
     def factory(tau):
-        return fidelity.switching_channel(cfg, bb, tau=tau, frame_tau=bb.tau)
+        return fidelity.switching_channel(cfg, bb, tau)
 
     curve = fidelity.timing_sensitivity(factory, bb.tau, delta=1e-3, n_side=24)
     hw = curve.half_width / bb.period
@@ -497,7 +497,7 @@ def _c_fidelity_properties(ctx: AcceptContext):
     traj_b = traps.sine_squared_path(6.0, 8.0, 1.0)
     chan = fidelity.moving_channel(traj_a, traj_b)
     kts = [0.0, 0.1, 0.2, 0.4]
-    fs = [fidelity.min_fidelity(chan, fidelity.thermal_state(1.0, kt) if kt > 0 else None) for kt in kts]
+    fs = [fidelity.min_fidelity(chan, fidelity.thermal_state(kt) if kt > 0 else None) for kt in kts]
     mono = all(fs[i + 1] <= fs[i] + 1e-12 for i in range(len(fs) - 1))
     ok = abs(f_ideal - 1.0) <= 1e-9 and mono
     return ok, {"ideal_fidelity": f_ideal, "kT_over_hw": kts, "fidelities": fs, "monotone": mono}
@@ -558,10 +558,9 @@ def _scn_gate_moving(cfg, outdir, seed):
     bump = 0.5 * (sep0 - cfg["min_distance"])
     t1 = traps.sine_squared_path(bump, cfg["tau"], 1.0)
     t2 = traps.sine_squared_path(-bump, cfg["tau"], 1.0)
-    geom = moving.CollisionGeometry(transverse_offset=(0.0, 0.0))
     shifted1 = traps.Trajectory(tau=t1.tau, x=lambda t: -sep0 / 2 + t1.x(t), dx=t1.dx, d2x=t1.d2x)
     shifted2 = traps.Trajectory(tau=t2.tau, x=lambda t: sep0 / 2 + t2.x(t), dx=t2.dx, d2x=t2.d2x)
-    summary["collisional_phase_ab"] = moving.collisional_phase_perturbative(shifted1, shifted2, cfg["a_s"], geom)
+    summary["collisional_phase_ab"] = moving.collisional_phase_perturbative(shifted1, shifted2, cfg["a_s"])
     _write_json(os.path.join(outdir, "summary.json"), summary)
     return 0
 
@@ -648,7 +647,7 @@ def _scn_fidelity_curve(cfg, outdir, seed):
     traj_b = traps.sine_squared_path(cfg["amplitude_b"], cfg["tau"], 1.0)
     chan = fidelity.moving_channel(traj_a, traj_b)
     kts = _parse_kt_list(cfg["kt_list"])
-    fs = [fidelity.min_fidelity(chan, fidelity.thermal_state(1.0, kt) if kt > 0 else None) for kt in kts]
+    fs = [fidelity.min_fidelity(chan, fidelity.thermal_state(kt) if kt > 0 else None) for kt in kts]
     _write_csv(os.path.join(outdir, "fidelity_curve.csv"), ["kT_over_hbar_omega", "min_fidelity"], list(zip(kts, fs)))
     return 0
 
@@ -817,9 +816,10 @@ def main(argv=None) -> int:
         resolved.update({"scenario": args.scenario, "seed": args.seed})
         _write_json(os.path.join(outdir, "resolved_config.json"), resolved)
         return fn(cfg, outdir, args.seed)
-    except (ValidationError, PerturbationInvalid) as e:
-        # an interaction too strong for the perturbative model is input
-        # outside the model's range, not a failed gate
+    except (ValidationError, PerturbationInvalid, OverflowError) as e:
+        # an interaction too strong for the perturbative model, or a path
+        # whose float arithmetic overflows, is input outside the model's
+        # range, not a failed gate
         print(f"validation error: {e}", file=sys.stderr)
         return 2
     except _NONCONVERGENCE as e:

@@ -35,10 +35,8 @@ from .traps import SwitchingConfig, Trajectory
 
 @dataclass
 class ThermalMotionalState:
-    """Boltzmann occupation of oscillator levels; kT and omega in the same
-    energy convention (only the ratio kT/(hbar*omega) matters)."""
+    """Boltzmann occupation of oscillator levels; kT in units of hbar*omega."""
 
-    omega: float
     kT: float
     n_max: int
     p: np.ndarray
@@ -48,21 +46,22 @@ class ThermalMotionalState:
             raise ValidationError("occupations not normalized")
 
 
-def thermal_state(omega: float, kT: float, n_max: int = 0) -> ThermalMotionalState:
-    """p_n proportional to exp(-n*omega/kT); n_max auto-raised until the
-    truncated tail is below 1e-10."""
+def thermal_state(kT: float) -> ThermalMotionalState:
+    """p_n proportional to q^n, q = exp(-1/kT) with kT in units of
+    hbar*omega, for n up to the smallest n_max >= 1 at which the truncated
+    tail q^(n_max+1) is at most 1e-10."""
     if kT < 0:
         raise ValidationError("kT must be >= 0")
     if kT == 0:
-        return ThermalMotionalState(omega=omega, kT=kT, n_max=max(n_max, 0), p=np.r_[1.0, np.zeros(max(n_max, 0))])
-    q = float(np.exp(-omega / kT))
-    n = max(n_max, 1)
+        return ThermalMotionalState(kT=kT, n_max=0, p=np.r_[1.0])
+    q = float(np.exp(-1.0 / kT))
+    n = 1
     while q ** (n + 1) > 1e-10:
         n += 1
     ns = np.arange(n + 1)
     p = (1 - q) * q**ns
     p = p / p.sum()  # fold the sub-1e-10 tail back in
-    return ThermalMotionalState(omega=omega, kT=kT, n_max=n, p=p)
+    return ThermalMotionalState(kT=kT, n_max=n, p=p)
 
 
 @dataclass
@@ -77,15 +76,16 @@ class GateChannel:
     overlaps: Callable[[int, int], dict]
 
 
-def ideal_channel(symmetrized: bool = False) -> GateChannel:
-    basis = ("aa", "ab", "bb") if symmetrized else ("aa", "ab", "ba", "bb")
+def ideal_channel() -> GateChannel:
+    basis = ("aa", "ab", "ba", "bb")
     return GateChannel(basis=basis, overlaps=lambda n1, n2: {s: 1.0 + 0j for s in basis})
 
 
 def _levels(rho_ext: ThermalMotionalState | None):
     """(p, n1, n2) triples for the thermal product ensemble, plus leftover
-    mass.  Levels beyond the truncation contribute zero fidelity (a lower
-    bound), so the leftover mass never enters the fidelity."""
+    mass.  Every ``ThermalMotionalState`` is normalized to within 1e-12
+    (``thermal_state`` folds its truncated tail back into p), so the
+    leftover is rounding only."""
     if rho_ext is None or rho_ext.kT == 0:
         return [(1.0, 0, 0)], 0.0
     p = rho_ext.p
@@ -233,32 +233,23 @@ def moving_channel(
     return GateChannel(basis=basis, overlaps=overlaps)
 
 
-def switching_channel(
-    cfg: SwitchingConfig,
-    bb_series: SwitchTimeSeries,
-    tau: float | None = None,
-    frame_tau: float | None = None,
-    target_phase: float = np.pi,
-) -> GateChannel:
+def switching_channel(cfg: SwitchingConfig, bb_series: SwitchTimeSeries, tau: float) -> GateChannel:
     """Symmetrized channel of the switching gate at hold time tau.
 
-    One-particle phases are absorbed by a fixed frame calibrated at
-    ``frame_tau`` (default: tau itself); away from the calibration time the
-    inter-channel phases drift at the channel energy differences, which is
-    what limits the timing precision.  The a atom stays in its well; the
-    released b atom's revival amplitude is the closed form
-    ``cm_overlap_complex`` at its well offset.  The bb channel carries the
-    interacting relative-coordinate amplitude of ``bb_series`` times the
-    closed-form center-of-mass amplitude (offset 0), compared against the
-    target collisional phase (pi).  The overlaps are those of the motional
-    ground state, whatever the levels.
+    One-particle phases are absorbed by a fixed frame calibrated at the
+    series' gate time ``bb_series.tau``; away from it the inter-channel
+    phases drift at the channel energy differences, which is what limits
+    the timing precision.  The a atom stays in its well; the released b
+    atom's revival amplitude is the closed form ``cm_overlap_complex`` at
+    its well offset.  The bb channel carries the interacting
+    relative-coordinate amplitude of ``bb_series`` times the closed-form
+    center-of-mass amplitude (offset 0), compared against the target
+    collisional phase (pi).  The overlaps are those of the motional ground
+    state, whatever the levels.
     """
-    if tau is None:
-        tau = bb_series.tau
-    if frame_tau is None:
-        frame_tau = tau
+    frame_tau = bb_series.tau
     nu = cfg.omega0 / cfg.omega
-    x0 = cfg.x0 / cfg.units.length_si
+    x0 = cfg.x0 / cfg.length_si
     # one-particle frame phases, calibrated at frame_tau: the a atom is
     # stationary at energy nu/2, the b atom's phase is read off its
     # noninteracting revival amplitude
@@ -269,7 +260,7 @@ def switching_channel(
     a_bb = cm_overlap_complex(nu, 1.0, tau) * bb_series.amp_init_at(tau)
     v_aa = a_aa * np.exp(-2j * lam_a)
     v_ab = a_ab * np.exp(-1j * (lam_a + lam_b))
-    v_bb = a_bb * np.exp(-1j * (2 * lam_b + target_phase))
+    v_bb = a_bb * np.exp(-1j * (2 * lam_b + np.pi))
     vs = {"aa": complex(v_aa), "ab": complex(v_ab), "bb": complex(v_bb)}
     return GateChannel(basis=("aa", "ab", "bb"), overlaps=lambda n1, n2: vs)
 
@@ -286,16 +277,15 @@ def timing_sensitivity(
     tau0: float,
     delta: float,
     n_side: int = 24,
-    rho_ext: ThermalMotionalState | None = None,
-    drop: float = 0.01,
 ) -> TimingCurve:
-    """Sample F(tau0 + k*delta) and report the half-width at which the
-    fidelity has dropped by ``drop`` below its maximum."""
+    """Sample F(tau0 + k*delta), with the atoms in their motional ground
+    state, and report the half-width at which the fidelity has dropped by
+    0.01 below its maximum."""
     offs = np.arange(-n_side, n_side + 1) * delta
-    fs = np.array([min_fidelity(channel_factory(tau0 + o), rho_ext) for o in offs])
+    fs = np.array([min_fidelity(channel_factory(tau0 + o)) for o in offs])
     fmax = float(fs.max())
     half = float("inf")
-    thresh = fmax - drop
+    thresh = fmax - 0.01
     for sgn in (1, -1):
         sel = offs * sgn >= 0
         o = np.abs(offs[sel])

@@ -11,11 +11,14 @@ two deterministic starts, the atomic limit and ``_superfluid_start``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NotConverged, ValidationError
+
+TOL_F = 1e-8  # sweep convergence: largest amplitude change
+TOL_E = 1e-10  # and largest local ground-energy change, relative to |J| (or U)
 
 
 def superlattice(x, y, amplitude: float, period: float):
@@ -85,7 +88,6 @@ class GutzwillerState:
     f: np.ndarray  # (Lx, Ly, n_max+1)
     converged: bool = True
     sweeps: int = 0
-    labels: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def n_max(self) -> int:
@@ -164,16 +166,16 @@ def _atomic_limit_f(lat: BoseHubbardLattice, n_max: int):
     return (np.argmin(e, axis=-1)[:, :, None] == n).astype(float)
 
 
-def _sweep_to_convergence(lat, f, n_max, tol_f=1e-8, tol_e=1e-10, max_sweeps=4000):
+def _sweep_to_convergence(lat, f, n_max, max_sweeps=4000):
     """Red-black Gauss-Seidel sweeps of the single-site problems.
 
     A sweep visits the colour classes of ``_colour_classes`` in turn.  No
     two sites of a class are neighbours, so each class is updated at once
     from the current order parameters: its local Hamiltonians are
     diagonalized by one batched ``eigh``.  Converged when, over a whole
-    sweep, no amplitude moves by ``tol_f`` and no local ground energy by
-    ``tol_e`` times |J| (times U where that product is 0).  Returns
-    (f, sweeps, converged).
+    sweep, no amplitude moves by TOL_F and no local ground energy by TOL_E
+    times |J| (times U where that product is 0).  Returns (f, sweeps,
+    converged).
     """
     d = n_max + 1
     n = np.arange(d)
@@ -186,8 +188,8 @@ def _sweep_to_convergence(lat, f, n_max, tol_f=1e-8, tol_e=1e-10, max_sweeps=400
     onsite = 0.5 * lat.U * n * (n - 1) + (lat.eps.reshape(-1, 1) - lat.mu) * n
     colours = _colour_classes(lat).ravel()
     classes = [np.flatnonzero(colours == c) for c in range(colours.max() + 1)]
-    # scaled by U where tol_e |J| is 0: at J = 0, or when it underflows
-    tol_de = tol_e * abs(lat.J) or tol_e * lat.U
+    # scaled by U where TOL_E |J| is 0: at J = 0, or when it underflows
+    tol_de = TOL_E * abs(lat.J) or TOL_E * lat.U
     for sweep in range(1, max_sweeps + 1):
         max_df = 0.0
         max_de = 0.0
@@ -208,7 +210,7 @@ def _sweep_to_convergence(lat, f, n_max, tol_f=1e-8, tol_e=1e-10, max_sweeps=400
             site_e[sites] = w[:, 0]
             f[sites] = g
             phi[sites] = np.einsum("sk,k,sk->s", np.conj(g[:, :-1]), rt, g[:, 1:])
-        if max_df < tol_f and max_de < tol_de:
+        if max_df < TOL_F and max_de < tol_de:
             return f.reshape(lat.Lx, lat.Ly, d), sweep, True
     return f.reshape(lat.Lx, lat.Ly, d), max_sweeps, False
 
@@ -253,12 +255,13 @@ def gutzwiller_minimize(lattice: BoseHubbardLattice, n_max: int = 6, max_sweeps:
     return state
 
 
-def phase_classify(state: GutzwillerState, tol: float = 1e-3):
-    """Per-site label: 'MI(n)' when the order parameter vanishes and the
-    density is pinned to an integer n, else 'SF'."""
+def phase_classify(state: GutzwillerState):
+    """Per-site labels, an (Lx, Ly) object array: 'MI(n)' when the order
+    parameter vanishes and the density is pinned to an integer n, both to
+    within 1e-3, else 'SF'."""
+    tol = 1e-3
     rho = state.density
     n = np.rint(rho).astype(int)
     pinned = (np.abs(state.order_parameter) < tol) & (np.abs(rho - n) < tol)
     names = np.array(["SF"] + [f"MI({k})" for k in range(state.n_max + 1)], dtype=object)
-    state.labels = names[np.where(pinned, n + 1, 0)]
-    return state.labels
+    return names[np.where(pinned, n + 1, 0)]

@@ -62,20 +62,19 @@ class CoherentEvolution:
         g = self.gamma
         return np.exp(1j * self.beta) * np.exp(-abs(alpha) ** 2 / 2 + np.conj(alpha) * g)
 
-    def position_wavefunction(self, x, lab_frame: bool = True):
+    def position_wavefunction(self, x):
         """Wavefunction on a position grid.
 
-        The state is a displaced Gaussian; ``lab_frame`` multiplies in the
-        zero-point phase e^{-i(t+tau)/2} so the result can be compared with a
-        direct Schrodinger-picture propagation.
+        The state is a displaced Gaussian, times the zero-point phase
+        e^{-i(t+tau)/2} of the lab frame, so the result can be compared with
+        a direct Schrodinger-picture propagation.
         """
         x = np.asarray(x, dtype=float)
         g = self.gamma
         xr, pr = np.sqrt(2) * g.real, np.sqrt(2) * g.imag
         psi = np.pi ** (-0.25) * np.exp(-0.5 * (x - xr) ** 2 + 1j * pr * x - 0.5j * xr * pr)
         phase = np.exp(1j * self.beta.real)
-        if lab_frame:
-            phase *= np.exp(-0.5j * (self.t + self.tau))
+        phase *= np.exp(-0.5j * (self.t + self.tau))
         return phase * psi
 
 
@@ -147,36 +146,22 @@ def gaussian_mode_overlap(sep: float, w1: float, w2: float) -> float:
     return float(np.sqrt(2 * w1 * w2 / s2) * np.exp(-(sep**2) / (2 * s2)))
 
 
-@dataclass(frozen=True)
-class CollisionGeometry:
-    """3D Gaussian widths per particle (oscillator-unit ground-state widths)
-    and a fixed transverse center offset (dy, dz) between the two."""
-
-    widths1: tuple = (1.0, 1.0, 1.0)
-    widths2: tuple = (1.0, 1.0, 1.0)
-    transverse_offset: tuple = (0.0, 0.0)
-
-
-def interaction_shift(
-    sep_x: float,
-    a_s: float,
-    geometry: CollisionGeometry = CollisionGeometry(),
-    same_state: bool = False,
-) -> float:
+def interaction_shift(sep_x: float, a_s: float, same_state: bool = False) -> float:
     """Mean-field energy shift of two Gaussian-localized atoms (units hbar*omega).
 
-    Distinct internal states: 4 pi a_s (hbar^2/m) * integral n1 n2 d3x.
-    Same state: coefficient 8 pi / (1 + |<psi1|psi2>|^2) instead of 4 pi.
+    Both atoms are 3D oscillator ground states of unit widths, their centers
+    ``sep_x`` apart along x and aligned transversely.  Distinct internal
+    states: 4 pi a_s (hbar^2/m) * integral n1 n2 d3x.  Same state:
+    coefficient 8 pi / (1 + |<psi1|psi2>|^2) instead of 4 pi.
     """
-    g = geometry
-    seps = (sep_x,) + tuple(g.transverse_offset)
+    seps = (sep_x, 0.0, 0.0)
     dens = 1.0
-    for d, w1, w2 in zip(seps, g.widths1, g.widths2):
-        dens *= gaussian_density_product(d, w1, w2)
+    for d in seps:
+        dens *= gaussian_density_product(d, 1.0, 1.0)
     if same_state:
         ov = 1.0
-        for d, w1, w2 in zip(seps, g.widths1, g.widths2):
-            ov *= gaussian_mode_overlap(d, w1, w2)
+        for d in seps:
+            ov *= gaussian_mode_overlap(d, 1.0, 1.0)
         coeff = 8 * np.pi / (1 + ov**2)
     else:
         coeff = 4 * np.pi
@@ -194,19 +179,14 @@ class GatePhases:
     phi_bb: float = 0.0
 
 
-def collisional_phase_perturbative(
-    traj1: Trajectory,
-    traj2: Trajectory,
-    a_s: float,
-    geometry: CollisionGeometry = CollisionGeometry(),
-    same_state: bool = False,
-    n_samples: int = 2001,
-) -> float:
-    """Collisional phase int dt DeltaE(t)/hbar for two dragged atoms.
+def collisional_phase_perturbative(traj1: Trajectory, traj2: Trajectory, a_s: float) -> float:
+    """Collisional phase int dt DeltaE(t)/hbar for two dragged atoms in
+    distinct internal states.
 
     Densities are instantaneous Gaussian ground states centered on the two
     trajectories.  Raises ValidationError for a non-finite ``a_s`` and
-    PerturbationInvalid when max |DeltaE| >= 0.5 or is NaN; warns above 0.1.
+    PerturbationInvalid when max |DeltaE| >= 0.5 or is NaN at any of 2001
+    times; warns above 0.1.
     """
     if not np.isfinite(a_s):
         raise ValidationError(f"a_s must be finite, got {a_s!r}")
@@ -214,9 +194,9 @@ def collisional_phase_perturbative(
 
     def shift(s):
         sep = float(np.asarray(traj1.x(s))) - float(np.asarray(traj2.x(s)))
-        return interaction_shift(sep, a_s, geometry, same_state=same_state)
+        return interaction_shift(sep, a_s)
 
-    ts = np.linspace(-tau, tau, n_samples)
+    ts = np.linspace(-tau, tau, 2001)
     peak = float(np.max(np.abs([shift(s) for s in ts])))  # unlike max(), keeps a NaN sample
     if not peak < 0.5:  # NaN fails too
         raise PerturbationInvalid(f"max |DeltaE| = {peak:.3f} hbar*omega >= 0.5")

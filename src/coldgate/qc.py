@@ -103,9 +103,6 @@ class LatticeRegister:
         state[idx] = 1.0
         return cls(shape=shape, sites=sites, dims=tuple(dims), state=state)
 
-    def copy(self) -> "LatticeRegister":
-        return self._with_state(self.state.copy())
-
     def _with_state(self, state) -> "LatticeRegister":
         """Register of this geometry holding ``state``, a flat complex array
         the engine computed from this register's state: the geometry and the
@@ -134,16 +131,6 @@ class LatticeRegister:
             return self.sites.index(lattice_site)
         except ValueError:
             raise GeometryMismatch(f"site {lattice_site} is not occupied") from None
-
-    def digits(self):
-        """Per-axis digit arrays over the full basis (axis 0 most significant)."""
-        D = self.state.size
-        out = []
-        stride = D
-        for d in self.dims:
-            stride //= d
-            out.append((np.arange(D) // stride) % d)
-        return out
 
     # -- inspection --------------------------------------------------------
 
@@ -273,13 +260,12 @@ def apply_ly(reg: LatticeRegister, phases=np.pi) -> LatticeRegister:
     return _pair_phase(reg, _shift_pairs(reg, phases, vertical=True))
 
 
-def measure(reg: LatticeRegister, lattice_sites, seed=None, rng=None):
-    """Projective measurement of the listed sites in the computational basis.
+def measure(reg: LatticeRegister, lattice_sites, rng):
+    """Projective measurement of the listed sites in the computational basis,
+    drawing the outcome from the generator ``rng``.
 
     Returns (outcomes dict site->digit, collapsed register).
     """
-    if rng is None:
-        rng = np.random.default_rng(seed)
     axes = [reg.axis_of_site(s) for s in lattice_sites]
     probs = reg.probabilities(axes)
     flat = probs.ravel()
@@ -611,12 +597,12 @@ def armada_parity_check(block_state, kind: str = "spin-flip", seed=None):
 # -- sweep constructions ---------------------------------------------------
 
 
-def sweep(phases, phi0: float = 0.0) -> LatticeRegister:
+def sweep(phases) -> LatticeRegister:
     """Sweep a selected 3-level atom across a string of N = len(phases) atoms.
 
     Selected atom starts in (|0> + |r>)/sqrt(2), the string in (|0>+|1>)
     per atom; transporting the |r> branch applies phase phases[j] to string
-    atom j's |1> component (and phi0 to its |0> component).
+    atom j's |1> component.
     """
     phases = [float(p) for p in np.atleast_1d(phases)]
     N = len(phases)
@@ -624,7 +610,7 @@ def sweep(phases, phi0: float = 0.0) -> LatticeRegister:
         raise ValidationError(f"register capped at {MAX_QUBITS} sites, the sweep needs {N + 1}")
     # the string's state on each branch is a product, so the phases are too
     plus = np.full(2**N, 2 ** (-N / 2), dtype=complex)
-    swept = functools.reduce(np.kron, [np.exp(1j * np.array([phi0, p])) / np.sqrt(2) for p in phases], np.ones(1))
+    swept = functools.reduce(np.kron, [np.exp(1j * np.array([0.0, p])) / np.sqrt(2) for p in phases], np.ones(1))
     state = np.concatenate([plus, 0 * plus, swept]) / np.sqrt(2)  # level 2 is the transport level r
     return LatticeRegister((N + 1,), tuple(range(N + 1)), (3,) + (2,) * N, state)
 

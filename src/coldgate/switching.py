@@ -472,7 +472,6 @@ def propagate(
     steps_per_period: int = 4000,
     sigma_reg: float = 0.0176,
     check_convergence: bool = True,
-    interacting: bool = True,
 ) -> SwitchTimeSeries:
     """Evolve the (b,b) channel through ``n_periods`` oscillations.
 
@@ -515,7 +514,7 @@ def propagate(
 
     mu = cfg.mass / 2.0
     a_r = np.sqrt(HBAR / (mu * cfg.omega))
-    g_tilde = cfg.g1d("bb") / (HBAR * cfg.omega * a_r) if interacting else 0.0
+    g_tilde = cfg.g1d("bb") / (HBAR * cfg.omega * a_r)
     spec = _bb_spectrum(cfg, grid, g_tilde, sigma_reg)
 
     n_steps = int(round((n_periods + 0.1) * steps_per_period))
@@ -589,8 +588,7 @@ def propagate_ab(
     dt = period / steps_per_period
     dx = L / N
     x = (np.arange(N) - N // 2) * dx
-    units = cfg.units
-    a_x = units.length_si
+    a_x = cfg.length_si
     x0 = cfg.x0 / a_x
     nu0 = cfg.omega0 / cfg.omega
     g2 = cfg.g1d("ab") / (HBAR * cfg.omega * a_x)

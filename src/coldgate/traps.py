@@ -1,4 +1,5 @@
-"""Unit system, trap potentials and trap-center trajectories.
+"""Trap potentials, trap-center trajectories and the switched-microtrap
+configuration.
 
 All gate physics downstream works in harmonic-oscillator units (m = hbar =
 omega = 1); SI values only enter through configuration objects and are
@@ -7,50 +8,16 @@ converted once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from numpy.typing import NDArray
-from scipy.interpolate import CubicSpline
 from scipy.optimize import minimize_scalar
 
 from .errors import NoMinimum, ValidationError
 
 HBAR = 1.054571817e-34  # J s
 MASS_RB87 = 1.44316060e-25  # kg
-
-
-@dataclass(frozen=True)
-class OscUnits:
-    """Harmonic-oscillator unit system for a particle of mass ``m_si`` in a
-    trap of angular frequency ``omega_si``.
-
-    Internally everything is dimensionless (m = hbar = omega = 1); this class
-    carries the conversion factors back to SI for reporting.
-    """
-
-    m_si: float
-    omega_si: float
-
-    @property
-    def length_si(self) -> float:
-        """Oscillator length a0 = sqrt(hbar / (m omega)) in metres."""
-        return float(np.sqrt(HBAR / (self.m_si * self.omega_si)))
-
-    @property
-    def energy_si(self) -> float:
-        return HBAR * self.omega_si
-
-    @property
-    def velocity_si(self) -> float:
-        return self.length_si * self.omega_si
-
-    def length_from_si(self, x_si: float) -> float:
-        return x_si / self.length_si
-
-    def energy_from_si(self, e_si: float) -> float:
-        return e_si / self.energy_si
 
 
 @dataclass(frozen=True)
@@ -142,10 +109,8 @@ def harmonic_approx(
 
 @dataclass
 class Trajectory:
-    """Trap-center path x(t) on [-tau, tau] in oscillator units.
-
-    Either closed-form callables (with optional analytic derivatives) or
-    sampled points (spline-interpolated) may be supplied.
+    """Trap-center path x(t) on [-tau, tau] in oscillator units, as
+    closed-form callables with optional analytic derivatives.
     """
 
     tau: float
@@ -153,11 +118,6 @@ class Trajectory:
     dx: Callable[[float], float] | None = None
     d2x: Callable[[float], float] | None = None
     derivs: list[Callable] | None = None  # analytic derivatives, derivs[n] = d^n x/dt^n
-
-    @classmethod
-    def from_samples(cls, t: NDArray, x: NDArray) -> "Trajectory":
-        sp = CubicSpline(t, x)
-        return cls(tau=float(-t[0]), x=sp, dx=sp.derivative(1), d2x=sp.derivative(2))
 
     def velocity(self, t):
         if self.dx is not None:
@@ -182,18 +142,6 @@ class Trajectory:
             return (np.asarray(_p(t + _h)) - np.asarray(_p(t - _h))) / (2 * _h)
 
         return d
-
-    def shifted(self, dt: float) -> "Trajectory":
-        """Same path traversed with a time offset (for invariance checks)."""
-        return Trajectory(
-            tau=self.tau,
-            x=lambda t: self.x(t - dt),
-            dx=None if self.dx is None else (lambda t: self.dx(t - dt)),
-            d2x=None if self.d2x is None else (lambda t: self.d2x(t - dt)),
-        )
-
-    def round_trip(self, tol: float = 1e-9) -> bool:
-        return abs(float(self.x(self.tau)) - float(self.x(-self.tau))) < tol
 
 
 def _check_path(amplitude, **positive):
@@ -265,17 +213,12 @@ class SwitchingConfig:
     a_s_bb: float
     a_s_ab: float
     mass: float = MASS_RB87
-    warnings: tuple = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
         if self.x0 <= 0:
             raise ValidationError("x0 must be > 0")
         if min(self.omega0, self.omega, self.omega_y, self.omega_z) <= 0:
             raise ValidationError("frequencies must be > 0")
-        warns = []
-        if not (self.omega_perp > self.omega0 > self.omega):
-            warns.append("expected omega_perp >> omega0 > omega")
-        object.__setattr__(self, "warnings", tuple(warns))
 
     @classmethod
     def rb87_microtrap(cls) -> "SwitchingConfig":
@@ -303,9 +246,10 @@ class SwitchingConfig:
         return 2 * np.pi / self.omega
 
     @property
-    def units(self) -> OscUnits:
-        """Single-particle oscillator units based on the merged well."""
-        return OscUnits(m_si=self.mass, omega_si=self.omega)
+    def length_si(self) -> float:
+        """Single-particle oscillator length sqrt(hbar / (m omega)) of the
+        merged well, in metres."""
+        return float(np.sqrt(HBAR / (self.mass * self.omega)))
 
     def g1d(self, channel: str = "bb") -> float:
         """Effective 1D contact strength g = 2 a_s hbar omega_perp (SI, J m)."""

@@ -252,6 +252,11 @@ def test_qc_bad_input_exits_2(tmp_path, scenario, lines):
         ("gate-moving", "a_s=Infinity"),
         ("gate-moving", "n_samples=0"),  # was a header-only trajectory.csv
         ("gate-moving", "n_samples=-3"),  # was a ValueError from linspace
+        # float overflows in the path arithmetic were a traceback and exit 1
+        ("gate-moving", "amplitude=1e200"),
+        ("gate-moving", "tau=1e-300"),
+        ("gate-moving", "cycles=1e300"),
+        ("fidelity-curve", "amplitude_b=1e200"),
         ("qc-ghz", "n=30"),  # 31 sites, refused before 2^30 amplitudes are built
         ("qc-ghz", '{"n": 4'),  # malformed JSON was a traceback and exit 1
     ],

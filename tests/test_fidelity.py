@@ -7,13 +7,13 @@ from coldgate.errors import ValidationError
 
 
 def test_thermal_state_zero_temperature():
-    st = fidelity.thermal_state(1.0, 0.0)
+    st = fidelity.thermal_state(0.0)
     assert st.p[0] == 1.0
     assert st.n_max == 0
 
 
 def test_thermal_state_normalization_and_tail():
-    st = fidelity.thermal_state(1.0, 0.5)
+    st = fidelity.thermal_state(0.5)
     assert float(np.sum(st.p)) == pytest.approx(1.0, abs=1e-12)
     q = np.exp(-1.0 / 0.5)
     assert q ** (st.n_max + 1) <= 1e-10
@@ -23,12 +23,11 @@ def test_thermal_state_normalization_and_tail():
 
 def test_thermal_state_negative_kt_rejected():
     with pytest.raises(ValidationError):
-        fidelity.thermal_state(1.0, -0.1)
+        fidelity.thermal_state(-0.1)
 
 
 def test_ideal_channel_is_perfect():
     assert fidelity.min_fidelity(fidelity.ideal_channel()) == pytest.approx(1.0, abs=1e-9)
-    assert fidelity.min_fidelity(fidelity.ideal_channel(symmetrized=True)) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_min_fidelity_finds_phase_conflict():
@@ -65,13 +64,13 @@ def test_moving_channel_monotone_in_temperature():
     chan = fidelity.moving_channel(traj_a, traj_b)
     fs = []
     for kt in (0.0, 0.1, 0.2, 0.4):
-        rho = fidelity.thermal_state(1.0, kt) if kt > 0 else None
+        rho = fidelity.thermal_state(kt) if kt > 0 else None
         fs.append(fidelity.min_fidelity(chan, rho))
     assert all(fs[i + 1] <= fs[i] + 1e-12 for i in range(3))
 
 
 def test_switching_channel_reference_point(ref_cfg, bb_series):
-    chan = fidelity.switching_channel(ref_cfg, bb_series, tau=bb_series.tau, frame_tau=bb_series.tau)
+    chan = fidelity.switching_channel(ref_cfg, bb_series, bb_series.tau)
     vs = chan.overlaps(0, 0)
     assert set(vs) == {"aa", "ab", "bb"}
     # frame calibration makes the one-particle channels pure-amplitude
@@ -84,7 +83,7 @@ def test_switching_channel_reference_point(ref_cfg, bb_series):
 
 def test_timing_sensitivity_shape(ref_cfg, bb_series):
     def factory(tau):
-        return fidelity.switching_channel(ref_cfg, bb_series, tau=tau, frame_tau=bb_series.tau)
+        return fidelity.switching_channel(ref_cfg, bb_series, tau)
 
     curve = fidelity.timing_sensitivity(factory, bb_series.tau, delta=2e-3, n_side=6)
     assert len(curve.offsets) == 13
@@ -111,7 +110,7 @@ def random_channels(draw):
     v = (np.array(mods) * np.exp(1j * np.array(phases))).reshape(n_levels, n_levels, dim)
     basis = ("aa", "ab", "ba", "bb")[:dim]
     chan = fidelity.GateChannel(basis=basis, overlaps=lambda n1, n2: dict(zip(basis, v[n1, n2])))
-    rho = fidelity.ThermalMotionalState(omega=1.0, kT=1.0, n_max=n_levels - 1, p=weights / weights.sum())
+    rho = fidelity.ThermalMotionalState(kT=1.0, n_max=n_levels - 1, p=weights / weights.sum())
     return chan, rho
 
 

@@ -290,8 +290,9 @@ def test_phase_classify_labels():
     f[0, 2, 1:3] = np.sqrt(0.5)  # phi > tol
     f[0, 3, 3] = 1.0
     st = mott.GutzwillerState(lattice=lat, f=f)
-    assert list(mott.phase_classify(st)[0]) == ["MI(0)", "MI(2)", "SF", "MI(3)"]
-    assert st.labels is not None and st.labels.dtype == object
+    labels = mott.phase_classify(st)
+    assert list(labels[0]) == ["MI(0)", "MI(2)", "SF", "MI(3)"]
+    assert labels.shape == (1, 4) and labels.dtype == object
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])

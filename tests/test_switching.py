@@ -145,7 +145,7 @@ def test_norm_check_covers_both_bases(ref_cfg, monkeypatch, side):
 
 def test_noninteracting_reference_revives(ref_cfg):
     ser = switching.propagate(
-        ref_cfg, ("b", "b"), n_periods=1, N=512, steps_per_period=500, interacting=False, check_convergence=False
+        dataclasses.replace(ref_cfg, a_s_bb=0.0), ("b", "b"), n_periods=1, N=512, steps_per_period=500, check_convergence=False
     )
     assert abs(ser.phase_final) < 1e-9
     k = int(np.argmin(np.abs(ser.t - ser.period)))
@@ -228,7 +228,7 @@ def test_released_gaussian_matches_grid(N, steps, tol):
 def test_released_gaussian_revives(ref_cfg):
     # the production b atom over the span the gate's timing scan reaches,
     # and a narrower, a wider and a coherent packet on either side
-    nu, x0 = ref_cfg.omega0 / ref_cfg.omega, ref_cfg.x0 / ref_cfg.units.length_si
+    nu, x0 = ref_cfg.omega0 / ref_cfg.omega, ref_cfg.x0 / ref_cfg.length_si
     t = np.linspace(0, 7.2 * 2 * np.pi, 20001)
     for nu, x0 in ((nu, x0), (0.5, 2.0), (3.0, -1.0), (1.0, 1.5)):
         assert switching.cm_overlap_complex(nu, 1.0, 0.0, x0) == pytest.approx(1.0 + 0j, abs=1e-12)

@@ -1,17 +1,22 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import coldgate
 from coldgate import traps
 from coldgate.errors import NoMinimum, ValidationError
 
 
-def test_osc_units_roundtrip():
-    u = traps.OscUnits(m_si=traps.MASS_RB87, omega_si=2 * np.pi * 23.4e3)
-    assert u.length_from_si(u.length_si) == pytest.approx(1.0)
-    assert u.energy_from_si(u.energy_si) == pytest.approx(1.0)
-    assert u.length_si == pytest.approx(np.sqrt(traps.HBAR / (traps.MASS_RB87 * u.omega_si)))
-    assert u.velocity_si == pytest.approx(u.length_si * u.omega_si)
+def test_import_does_not_load_scipy_interpolate():
+    # no module needs a spline, so importing the package should not pay for scipy.interpolate
+    src = os.path.dirname(os.path.dirname(coldgate.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, coldgate; sys.exit('scipy.interpolate' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_lattice_potentials_theta_zero_identical():
@@ -56,15 +61,6 @@ def test_harmonic_approx_no_minimum():
         traps.harmonic_approx(lambda x: 5.0 * x, 0.0)
 
 
-def test_trajectory_from_samples_matches_analytic():
-    path = traps.sine_squared_path(3.0, 10.0, 1.0)
-    t = np.linspace(-10, 10, 2001)
-    sampled = traps.Trajectory.from_samples(t, np.asarray(path.x(t)))
-    tt = np.linspace(-9, 9, 17)
-    assert np.allclose(sampled.x(tt), path.x(tt), atol=1e-8)
-    assert np.allclose(sampled.velocity(tt), path.velocity(tt), atol=1e-5)
-
-
 def test_sine_squared_path_derivatives():
     path = traps.sine_squared_path(4.0, 15.0, 2.0)
     tt = np.linspace(-14, 14, 11)
@@ -74,18 +70,6 @@ def test_sine_squared_path_derivatives():
     d3 = path.derivative(3)
     num3 = (np.asarray(path.d2x(tt + h)) - np.asarray(path.d2x(tt - h))) / (2 * h)
     assert np.allclose(d3(tt), num3, atol=1e-4)
-
-
-def test_round_trip_flags():
-    assert traps.sine_squared_path(4.0, 10.0, 1.0).round_trip()
-    assert not traps.sine_squared_path(4.0, 10.0, 0.5).round_trip()
-    assert traps.gaussian_bump_path(2.0, 20.0, 3.0).round_trip()
-
-
-def test_trajectory_shifted():
-    path = traps.sine_squared_path(4.0, 10.0, 1.0)
-    sh = path.shifted(0.5)
-    assert float(np.asarray(sh.x(0.5))) == pytest.approx(float(np.asarray(path.x(0.0))))
 
 
 @pytest.mark.parametrize(
@@ -109,10 +93,10 @@ def test_switching_config_reference_values():
     cfg = traps.SwitchingConfig.rb87_microtrap()
     assert cfg.omega0 == pytest.approx(2 * cfg.omega)
     assert cfg.omega == pytest.approx(2 * np.pi * 23.4e3)
-    a_x = cfg.units.length_si
+    a_x = cfg.length_si
+    assert a_x == pytest.approx(np.sqrt(traps.HBAR / (traps.MASS_RB87 * cfg.omega)))
     assert cfg.x0 == pytest.approx(3 * np.sqrt(2) * a_x)
     assert cfg.g1d("bb") == pytest.approx(2 * 5.1e-9 * traps.HBAR * cfg.omega_perp)
-    assert cfg.warnings == ()
 
 
 def test_switching_config_validation():
@@ -120,11 +104,6 @@ def test_switching_config_validation():
         traps.SwitchingConfig(omega0=1.0, omega=1.0, omega_y=1.0, omega_z=1.0, x0=-1.0, a_s_bb=1e-9, a_s_ab=1e-9)
     with pytest.raises(ValidationError):
         traps.SwitchingConfig(omega0=0.0, omega=1.0, omega_y=1.0, omega_z=1.0, x0=1.0, a_s_bb=1e-9, a_s_ab=1e-9)
-
-
-def test_switching_config_hierarchy_warning_field():
-    cfg = traps.SwitchingConfig(omega0=1.0, omega=2.0, omega_y=3.0, omega_z=3.0, x0=1e-6, a_s_bb=1e-9, a_s_ab=1e-9)
-    assert cfg.warnings  # omega0 < omega violates the intended hierarchy
 
 
 def test_switching_potential_window():
