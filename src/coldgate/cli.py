@@ -547,10 +547,12 @@ def _scn_gate_moving(cfg, outdir, seed):
     ts = np.linspace(-traj.tau, traj.tau, cfg["n_samples"])
     rows = [(t, float(np.asarray(traj.x(t))), float(np.asarray(traj.velocity(t)))) for t in ts]
     _write_csv(os.path.join(outdir, "trajectory.csv"), ["t", "x", "v"], rows)
+    # first: a path whose xdot^2 overflows is out of range (exit 2), not unresolved (exit 3)
+    quadrature = moving.kinetic_phase(traj, exact=False)
     r, pop = moving.adiabaticity_residual(traj)
     summary = {
         "kinetic_phase_exact": moving.kinetic_phase(traj, exact=True),
-        "kinetic_phase_quadrature": moving.kinetic_phase(traj, exact=False),
+        "kinetic_phase_quadrature": quadrature,
         "adiabaticity_r": r,
         "excited_population": pop,
     }

@@ -13,10 +13,40 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
+from numpy.polynomial.chebyshev import chebint, chebval
+from scipy.special import gammaln
 
 from .errors import HierarchyViolated, PerturbationInvalid, QuadratureFailure, ValidationError
 from .traps import Trajectory
+
+CHEB_TOL = 1e-12  # the last 8 Chebyshev coefficients, relative to the largest
+CHEB_MAX_POINTS = 2**16 + 1
+
+
+def _antiderivative(f, a: float, b: float):
+    """F(s) = int_a^s f as a vectorised callable: ``chebint`` of the Chebyshev
+    interpolant of f at n + 1 second-kind points on [a, b], its coefficients
+    one DCT-I (an FFT of the mirrored samples); F(b) is the Clenshaw-Curtis
+    value.  n doubles from 32 until the last 8 coefficients are at most
+    CHEB_TOL of the largest.  Raises QuadratureFailure past CHEB_MAX_POINTS
+    and OverflowError on a non-finite sample."""
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    n = 32
+    while n < CHEB_MAX_POINTS:
+        u = np.cos(np.pi * np.arange(n + 1) / n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = np.asarray(f(mid + half * u))
+        if not np.all(np.isfinite(v)):
+            raise OverflowError(f"integrand is not finite on [{a:.6g}, {b:.6g}]")
+        c = np.fft.fft(np.concatenate([v, v[-2:0:-1]]))[: n + 1] / n
+        c = c if np.iscomplexobj(v) else c.real
+        c[[0, n]] /= 2
+        if np.max(np.abs(c[-8:])) <= CHEB_TOL * np.max(np.abs(c)):
+            ci = chebint(c, lbnd=-1, scl=half)
+            # on an empty interval (half = 0) every s is mid and ci is zero
+            return lambda s: chebval((np.asarray(s) - mid) / (half or 1.0), ci)
+        n *= 2
+    raise QuadratureFailure(f"integrand on [{a:.6g}, {b:.6g}] not resolved at the cap of {CHEB_MAX_POINTS} Chebyshev points")
 
 
 @dataclass
@@ -41,8 +71,6 @@ class CoherentEvolution:
     def amplitudes(self, n_max: int):
         """Oscillator-basis amplitudes c_n, n = 0..n_max."""
         n = np.arange(n_max + 1)
-        from scipy.special import gammaln
-
         logfact = gammaln(n + 1.0)
         g = self.gamma
         # gamma^n / sqrt(n!) with care at gamma = 0
@@ -79,25 +107,20 @@ class CoherentEvolution:
 
 
 def evolve_coherent(traj: Trajectory, t: float) -> CoherentEvolution:
-    """Integrate the exact dragged-oscillator solution from -tau to t.
+    """The exact dragged-oscillator solution from -tau to t.
 
-    dK/ds = x(s) e^{i(s+tau)} / sqrt(2)
-    dbeta/ds = i K conj(dK/ds) - x(s)^2 / 2
+    K(t) = int_{-tau}^t K'(s) ds with K'(s) = x(s) e^{i(s+tau)} / sqrt(2)
+    beta(t) = int_{-tau}^t [i K(s) conj(K'(s)) - x(s)^2 / 2] ds
+    both as Chebyshev antiderivatives (``_antiderivative``).
     """
     tau = traj.tau
 
-    def rhs(s, y):
-        K = y[0] + 1j * y[1]
-        xb = float(traj.x(s))
-        dK = xb * np.exp(1j * (s + tau)) / np.sqrt(2)
-        db = 1j * K * np.conj(dK) - 0.5 * xb**2
-        return [dK.real, dK.imag, db.real, db.imag]
+    def dK(s):
+        return traj.x(s) * np.exp(1j * (s + tau)) / np.sqrt(2)
 
-    sol = solve_ivp(rhs, (-tau, t), [0.0, 0.0, 0.0, 0.0], method="DOP853", rtol=1e-12, atol=1e-12)
-    if not sol.success:
-        raise QuadratureFailure(f"coherent evolution failed: {sol.message}")
-    y = sol.y[:, -1]
-    return CoherentEvolution(K=y[0] + 1j * y[1], beta=y[2] + 1j * y[3], tau=tau, t=t)
+    K = _antiderivative(dK, -tau, t)
+    beta = _antiderivative(lambda s: 1j * K(s) * np.conj(dK(s)) - 0.5 * traj.x(s) ** 2, -tau, t)
+    return CoherentEvolution(K=complex(K(t)), beta=complex(beta(t)), tau=tau, t=t)
 
 
 def kinetic_phase(traj: Trajectory, exact: bool = True) -> float:
@@ -109,50 +132,39 @@ def kinetic_phase(traj: Trajectory, exact: bool = True) -> float:
     """
     tau = traj.tau
     if not exact:
-        val, err = quad(lambda s: 0.5 * float(np.asarray(traj.velocity(s))) ** 2, -tau, tau, limit=400, epsabs=1e-12, epsrel=1e-12)
-        if err > 1e-8:
-            raise QuadratureFailure(f"velocity-squared integral error {err:.2e}")
-        return float(val)
-    ev = evolve_coherent(traj, tau)
+        return float(_antiderivative(lambda s: 0.5 * traj.velocity(s) ** 2, -tau, tau)(tau))
     alpha = float(traj.x(tau)) / np.sqrt(2)
-    ov = ev.overlap_with_coherent(alpha)
-    return float(np.angle(ov))
+    return float(np.angle(evolve_coherent(traj, tau).overlap_with_coherent(alpha)))
 
 
 def adiabaticity_residual(traj: Trajectory):
     """Modulus of int xdot e^{is} ds (units of a0) and the resulting final
     excited-state population 1 - e^{-r^2/2}."""
     tau = traj.tau
-
-    def f(s):
-        return float(np.asarray(traj.velocity(s))) * np.exp(1j * s)
-
-    re, ere = quad(lambda s: f(s).real, -tau, tau, limit=400, epsabs=1e-12, epsrel=1e-12)
-    im, eim = quad(lambda s: f(s).imag, -tau, tau, limit=400, epsabs=1e-12, epsrel=1e-12)
-    r = float(np.hypot(re, im))
+    r = float(abs(_antiderivative(lambda s: traj.velocity(s) * np.exp(1j * s), -tau, tau)(tau)))
     return r, float(-np.expm1(-(r**2) / 2.0))
 
 
-def gaussian_density_product(sep: float, w1: float, w2: float) -> float:
+def gaussian_density_product(sep, w1: float, w2: float):
     """Integral of the densities of two 1D ground-state Gaussians of widths
-    w1, w2 whose centers are ``sep`` apart."""
+    w1, w2 whose centers are ``sep`` (a number or an array) apart."""
     s2 = 0.5 * (w1**2 + w2**2)
-    return float(np.exp(-(sep**2) / (2 * s2)) / np.sqrt(2 * np.pi * s2))
+    return np.exp(-(sep**2) / (2 * s2)) / np.sqrt(2 * np.pi * s2)
 
 
-def gaussian_mode_overlap(sep: float, w1: float, w2: float) -> float:
+def gaussian_mode_overlap(sep, w1: float, w2: float):
     """Wavefunction overlap <psi1|psi2> of two real ground-state Gaussians."""
     s2 = w1**2 + w2**2
-    return float(np.sqrt(2 * w1 * w2 / s2) * np.exp(-(sep**2) / (2 * s2)))
+    return np.sqrt(2 * w1 * w2 / s2) * np.exp(-(sep**2) / (2 * s2))
 
 
-def interaction_shift(sep_x: float, a_s: float, same_state: bool = False) -> float:
+def interaction_shift(sep_x, a_s: float, same_state: bool = False):
     """Mean-field energy shift of two Gaussian-localized atoms (units hbar*omega).
 
     Both atoms are 3D oscillator ground states of unit widths, their centers
-    ``sep_x`` apart along x and aligned transversely.  Distinct internal
-    states: 4 pi a_s (hbar^2/m) * integral n1 n2 d3x.  Same state:
-    coefficient 8 pi / (1 + |<psi1|psi2>|^2) instead of 4 pi.
+    ``sep_x`` (a number or an array) apart along x and aligned transversely.
+    Distinct internal states: 4 pi a_s (hbar^2/m) * integral n1 n2 d3x.
+    Same state: coefficient 8 pi / (1 + |<psi1|psi2>|^2) instead of 4 pi.
     """
     seps = (sep_x, 0.0, 0.0)
     dens = 1.0
@@ -165,7 +177,7 @@ def interaction_shift(sep_x: float, a_s: float, same_state: bool = False) -> flo
         coeff = 8 * np.pi / (1 + ov**2)
     else:
         coeff = 4 * np.pi
-    return float(coeff * a_s * dens)
+    return coeff * a_s * dens
 
 
 @dataclass
@@ -193,19 +205,14 @@ def collisional_phase_perturbative(traj1: Trajectory, traj2: Trajectory, a_s: fl
     tau = min(traj1.tau, traj2.tau)
 
     def shift(s):
-        sep = float(np.asarray(traj1.x(s))) - float(np.asarray(traj2.x(s)))
-        return interaction_shift(sep, a_s)
+        return interaction_shift(traj1.x(s) - traj2.x(s), a_s)
 
-    ts = np.linspace(-tau, tau, 2001)
-    peak = float(np.max(np.abs([shift(s) for s in ts])))  # unlike max(), keeps a NaN sample
+    peak = float(np.max(np.abs(shift(np.linspace(-tau, tau, 2001)))))  # unlike max(), keeps a NaN sample
     if not peak < 0.5:  # NaN fails too
         raise PerturbationInvalid(f"max |DeltaE| = {peak:.3f} hbar*omega >= 0.5")
     if peak >= 0.1:
         warnings.warn(f"max |DeltaE| = {peak:.3f} hbar*omega above 0.1; phase is perturbative only", stacklevel=2)
-    val, err = quad(shift, -tau, tau, limit=400, epsabs=1e-10, epsrel=1e-10)
-    if err > 1e-8 * max(1.0, abs(val)):
-        raise QuadratureFailure(f"collisional phase integral error {err:.2e}")
-    return float(val)
+    return float(_antiderivative(shift, -tau, tau)(tau))
 
 
 def gate_map(phases: GatePhases):
@@ -257,16 +264,12 @@ def correction_terms(traj: Trajectory, order: int, t: float | None = None) -> Co
     successive derivative max-norms do not decrease.
     """
     tau = traj.tau
-    if t is None:
-        t = tau
-    ss = np.linspace(-tau, t, 513)
-    norms = []
-    terms = []
+    t = tau if t is None else t
+    norms, terms = [], []
     for k in range(order):
         fk = traj.derivative(k)
-        norms.append(max(abs(float(np.asarray(fk(s)))) for s in ss))
-        bt = (1j**k) * (-1j) * (float(np.asarray(fk(t))) * np.exp(1j * (t + tau)) - float(np.asarray(fk(-tau)))) / np.sqrt(2)
-        terms.append(bt)
+        norms.append(float(np.max(np.abs(fk(np.linspace(-tau, t, 513))))))
+        terms.append((1j**k) * (-1j) * (float(fk(t)) * np.exp(1j * (t + tau)) - float(fk(-tau))) / np.sqrt(2))
     for k in range(1, len(norms)):
         if norms[k - 1] > 0 and norms[k] > norms[k - 1]:
             warnings.warn(
@@ -276,11 +279,5 @@ def correction_terms(traj: Trajectory, order: int, t: float | None = None) -> Co
             )
             break
     fN = traj.derivative(order)
-
-    def g(s):
-        return float(np.asarray(fN(s))) * np.exp(1j * (s + tau)) / np.sqrt(2)
-
-    re, _ = quad(lambda s: g(s).real, -tau, t, limit=400)
-    im, _ = quad(lambda s: g(s).imag, -tau, t, limit=400)
-    rem = (1j**order) * (re + 1j * im)
+    rem = (1j**order) * complex(_antiderivative(lambda s: fN(s) * np.exp(1j * (s + tau)) / np.sqrt(2), -tau, t)(t))
     return CorrectionExpansion(boundary_terms=terms, remainder=rem)

@@ -110,8 +110,9 @@ def harmonic_approx(
 @dataclass
 class Trajectory:
     """Trap-center path x(t) on [-tau, tau] in oscillator units, as
-    closed-form callables with optional analytic derivatives.
-    """
+    closed-form callables with optional analytic derivatives; each must map
+    an array of times to an array of the same shape (``moving`` samples them
+    on whole Chebyshev grids)."""
 
     tau: float
     x: Callable[[float], float]

@@ -1,10 +1,13 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from coldgate import cli, switching
+import coldgate
+from coldgate import cli, moving, switching
 from coldgate.errors import ValidationError
 
 
@@ -265,6 +268,22 @@ def test_bad_input_exits_2(tmp_path, scenario, line):
     cfgp = tmp_path / "c.cfg"
     cfgp.write_text(line + "\n")
     assert cli.main([scenario, "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2
+
+
+# paths spanning 2e6 time units, or turning 1e6 times, ran for over 40 s in
+# adaptive ODE and quadrature calls; the capped Chebyshev rule gives up at once
+@pytest.mark.parametrize(
+    "scenario, line",
+    [("gate-moving", "tau=1e6"), ("gate-moving", "cycles=1e6"), ("fidelity-curve", "tau=1e6")],
+)
+def test_unresolvable_path_exits_3(tmp_path, scenario, line):
+    cfgp = tmp_path / "c.cfg"
+    cfgp.write_text(line + "\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(coldgate.__file__)))
+    argv = [sys.executable, "-m", "coldgate.cli", scenario, "--config", str(cfgp), "--out", str(tmp_path / "o")]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 3
+    assert "QuadratureFailure" in proc.stderr and f"cap of {moving.CHEB_MAX_POINTS} " in proc.stderr
 
 
 @pytest.mark.parametrize("content", [None, b"n=4 # \xff\n"], ids=["missing", "not-utf8"])

@@ -1,10 +1,15 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
 
+import coldgate
 from coldgate import cli, moving, traps
-from coldgate.errors import HierarchyViolated, PerturbationInvalid, ValidationError
+from coldgate.errors import HierarchyViolated, PerturbationInvalid, QuadratureFailure, ValidationError
 
 
 def test_coherent_solution_matches_grid_oracle():
@@ -22,6 +27,68 @@ def test_adiabaticity_relation():
     ground = abs(ev.overlap_with_coherent(alpha)) ** 2
     assert (1.0 - ground) == pytest.approx(pop, abs=1e-8)
     assert pop == pytest.approx(-np.expm1(-(r**2) / 2), abs=1e-12)
+
+
+def _ode_reference(traj, t):
+    """(K, beta) at t from DOP853 on dK/ds = x e^{i(s+tau)}/sqrt2 and
+    dbeta/ds = i K conj(dK/ds) - x^2/2 at rtol = atol = 1e-12."""
+    tau = traj.tau
+
+    def rhs(s, y):
+        xs = float(traj.x(s))
+        dK = xs * np.exp(1j * (s + tau)) / np.sqrt(2)
+        db = 1j * (y[0] + 1j * y[1]) * np.conj(dK) - 0.5 * xs**2
+        return [dK.real, dK.imag, db.real, db.imag]
+
+    y = solve_ivp(rhs, (-tau, t), [0.0] * 4, method="DOP853", rtol=1e-12, atol=1e-12).y[:, -1]
+    return y[0] + 1j * y[1], y[2] + 1j * y[3]
+
+
+# the five oracle paths and the transport-solver criterion's path
+_PATHS = cli.benchmark_trajectories() + [traps.sine_squared_path(6.0, 9.0, 1.0)]
+
+
+@pytest.mark.parametrize("i", range(len(_PATHS)))
+@pytest.mark.parametrize("frac", [1.0, -1 / 3], ids=["t=tau", "t=-tau/3"])
+def test_evolve_coherent_matches_ode_reference(i, frac):
+    traj = _PATHS[i]
+    t = frac * traj.tau
+    ev = moving.evolve_coherent(traj, t)
+    K, beta = _ode_reference(traj, t)
+    assert abs(ev.K - K) <= 1e-9 and abs(ev.beta - beta) <= 1e-9
+    # Im beta = |K|^2/2 exactly; rounding accumulates along the path, so the
+    # bound is 1e-13 per unit of elapsed time (the DOP853 reference itself
+    # misses it in 11 of these 12 cases)
+    assert abs(ev.beta.imag - abs(ev.K) ** 2 / 2) <= 1e-13 * (t + traj.tau)
+
+
+def test_evolve_coherent_at_start_is_ground_state():
+    traj = traps.sine_squared_path(6.0, 9.0, 1.0)
+    ev = moving.evolve_coherent(traj, -traj.tau)
+    assert ev.K == 0 and ev.beta == 0
+
+
+@pytest.mark.parametrize(
+    "integral",
+    [
+        lambda traj: moving.evolve_coherent(traj, traj.tau),
+        moving.adiabaticity_residual,
+        lambda traj: moving.kinetic_phase(traj, exact=False),
+    ],
+    ids=["evolve_coherent", "adiabaticity_residual", "kinetic_phase"],
+)
+def test_unresolvable_path_raises_quadrature_failure(integral):
+    traj = traps.sine_squared_path(6.0, 25.0, 1e6)  # 1e6 turns in 50 time units
+    with pytest.raises(QuadratureFailure, match=f"cap of {moving.CHEB_MAX_POINTS} "):
+        integral(traj)
+
+
+def test_import_does_not_load_scipy_integrate():
+    # every moving-trap integral is a Chebyshev sum, so no scenario needs scipy.integrate
+    src = os.path.dirname(os.path.dirname(coldgate.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, coldgate.cli; sys.exit('scipy.integrate' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_kinetic_phase_adiabatic_limit():
