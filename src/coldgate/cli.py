@@ -12,8 +12,10 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
+import traceback
 
 import numpy as np
 
@@ -89,7 +91,11 @@ def parse_config_file(path: str) -> dict:
     return out
 
 
-def _resolve(defaults: dict, overrides: dict) -> dict:
+def _resolve(defaults: dict, bounds: dict, overrides: dict) -> dict:
+    """The defaults with the overrides applied, and the only check of scenario
+    input: each key is known, has its default's type (an int widens to a float,
+    a bool is refused for an int), is finite if a float, and lies in its bounds
+    (lo, hi) if it has any, where None leaves that side to the library call."""
     unknown = sorted(set(overrides) - set(defaults))
     if unknown:
         raise ValidationError(f"unknown config keys: {', '.join(unknown)}")
@@ -102,8 +108,14 @@ def _resolve(defaults: dict, overrides: dict) -> dict:
             v = float(v)
         elif isinstance(d, str) and isinstance(v, (int, float)):
             v = str(v)  # a lone number in a key=value line decodes as JSON
-        elif d is not None and not isinstance(v, type(d)):
+        elif not isinstance(v, type(d)):
             raise ValidationError(f"config key {k!r}: expected {type(d).__name__}")
+        if isinstance(v, float) and not math.isfinite(v):
+            raise ValidationError(f"config key {k!r}: expected a finite number, got {v}")
+        lo, hi = bounds.get(k, (None, None))
+        if (lo is not None and v < lo) or (hi is not None and v > hi):
+            span = " <= ".join(str(b) for b in (lo, k, hi) if b is not None)
+            raise ValidationError(f"config key {k!r}: expected {span}, got {v}")
         cfg[k] = v
     return cfg
 
@@ -277,12 +289,8 @@ def _expected_lattice_codewords():
     return zero.astype(complex), one.astype(complex)
 
 
-def _ramsey_pair_expected():
-    return np.array([0.5, 0.5, -0.5, 0.5], dtype=complex)
-
-
-def _ramsey_triplet_expected():
-    return np.array([0, 0.5, 0, 0.5, -0.5, 0, 0.5, 0], dtype=complex)
+_RAMSEY_PAIR_AT_PI = np.array([0.5, 0.5, -0.5, 0.5], dtype=complex)
+_RAMSEY_TRIPLET_AT_PI = np.array([0, 0.5, 0, 0.5, -0.5, 0, 0.5, 0], dtype=complex)
 
 
 def _bit_reversed_dft_column(a_bits):
@@ -292,6 +300,84 @@ def _bit_reversed_dft_column(a_bits):
     col = np.exp(2j * np.pi * a * np.arange(2**m) / 2**m) / np.sqrt(2**m)
     # entry i moves to the index with i's m bits reversed
     return col.reshape((2,) * m).transpose(range(m - 1, -1, -1)).ravel()
+
+
+# -- constructions shared by a scenario and the criterion that re-checks it --
+
+
+def _mott_state(cfg):
+    """The ``mott`` scenario's lattice and its Gutzwiller state, for a
+    config with that scenario's keys."""
+    lat = mott.BoseHubbardLattice.with_superlattice(
+        cfg["lx"], cfg["ly"], J=cfg["j"], U=cfg["u"], mu=cfg["mu"],
+        amplitude=cfg["amplitude"], period=cfg["period"], boundary=cfg["boundary"],
+    )
+    return lat, mott.gutzwiller_minimize(lat, n_max=cfg["n_max"])
+
+
+def _parse_kt_list(text: str) -> list[float]:
+    """Comma-separated temperatures kT/(hbar omega), each in [0, 10]: the
+    level count grows about linearly with kT and the fidelity QP about as
+    its cube, so kT = 10 (230 levels) takes about 1.6 s."""
+    try:
+        kts = [float(v) for v in text.split(",")]
+    except ValueError:
+        raise ValidationError(f"kt_list: expected comma-separated numbers, got {text!r}") from None
+    if not all(0 <= kt <= 10 for kt in kts):
+        raise ValidationError(f"kt_list: every kT must lie in [0, 10], got {text!r}")
+    return kts
+
+
+def _min_fidelity_curve(cfg):
+    """The temperatures of a ``fidelity-curve`` config and the moving gate's
+    min_fidelity at each (the motional ground state at kT = 0)."""
+    kts = _parse_kt_list(cfg["kt_list"])
+    paths = (traps.sine_squared_path(cfg[key], cfg["tau"], 1.0) for key in ("amplitude_a", "amplitude_b"))
+    chan = fidelity.moving_channel(*paths)
+    return kts, [fidelity.min_fidelity(chan, fidelity.thermal_state(kt) if kt > 0 else None) for kt in kts]
+
+
+def _ramsey_state(n_atoms: int, phi: float):
+    """State after the Ramsey sequence at collisional phase phi on a row of
+    n_atoms atoms that start in |0>."""
+    return qc.ramsey_sequence(qc.LatticeRegister.basis((1, n_atoms), [0] * n_atoms), phi).state
+
+
+def _ghz_fidelity(n: int) -> float:
+    """Fidelity of ``qc.ghz_from_sweep(n)`` with the (n+1)-party GHZ state."""
+    state = qc.ghz_from_sweep(n)
+    ref = np.zeros(2 ** (n + 1), dtype=complex)
+    ref[0] = ref[-1] = 1 / np.sqrt(2)
+    return float(abs(np.vdot(ref, state)) ** 2)
+
+
+def _qft_deviations(m: int):
+    """Each m-bit input, and the max |deviation| of its sweep QFT from the
+    DFT column."""
+    inputs = [[int(b) for b in format(a, f"0{m}b")] for a in range(2**m)]
+    return inputs, [float(np.max(np.abs(qc.sweep_qft(bits)[0] - _bit_reversed_dft_column(bits)))) for bits in inputs]
+
+
+def _ftcnot_overlaps(exact_sign: bool):
+    """(c, t, <c, t^c| ft_cnot |c, t>) between two Shor blocks, for the four
+    logical inputs."""
+    cw, block = qc.shor_codewords_standard(), qc.two_block_register
+    rows = []
+    for c, t in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        # the output before the expected block: holding the expected block
+        # through ft_cnot takes 30% more page faults on the 2^18 amplitudes
+        out = qc.ft_cnot(block(cw[c], cw[t]), exact_sign=exact_sign)
+        rows.append((c, t, np.vdot(block(cw[c], cw[t ^ c]).state, out.state)))
+    return rows
+
+
+def _armada_block():
+    """The encoded block of the armada check, alpha|0_S> + beta|1_S>, as a
+    vector and as a 3x3 register."""
+    s0, s1 = qc.shor_codewords_standard()
+    alpha, beta = 1 / np.sqrt(3), np.sqrt(2 / 3) * np.exp(0.4j)
+    enc = alpha * s0 + beta * s1
+    return enc, qc.LatticeRegister((3, 3), tuple(range(9)), (2,) * 9, enc)
 
 
 # -- acceptance gate -------------------------------------------------------
@@ -393,13 +479,12 @@ def _c_perturbative_oracle(ctx: AcceptContext):
 
 
 def _c_mott_loading(ctx: AcceptContext):
-    lat = mott.BoseHubbardLattice.with_superlattice(18, 18, J=1.0, U=30.0, mu=15.0, amplitude=40.0, period=9.0)
-    st = mott.gutzwiller_minimize(lat)
+    defaults = SCENARIOS["mott"][1]
+    _, st = _mott_state(defaults)
     rho = st.density
     dev_01 = float(np.max(np.minimum(np.abs(rho), np.abs(rho - 1.0))))
     var = float(np.max(st.number_variance))
-    lat0 = mott.BoseHubbardLattice.with_superlattice(18, 18, J=0.0, U=30.0, mu=15.0, amplitude=40.0, period=9.0)
-    st0 = mott.gutzwiller_minimize(lat0)
+    lat0, st0 = _mott_state(dict(defaults, j=0.0))
     n_star = np.argmax(mott._atomic_limit_f(lat0, st0.n_max), axis=-1)
     atomic_dev = float(np.max(np.abs(st0.density - n_star)))
     ok = dev_01 <= 1e-3 and var <= 1e-3 and atomic_dev <= 1e-10
@@ -423,12 +508,9 @@ def _c_syndrome_table(ctx: AcceptContext):
 
 
 def _c_ramsey(ctx: AcceptContext):
-    pair = qc.ramsey_sequence(qc.LatticeRegister.basis((1, 2), [0, 0]), np.pi)
-    trip = qc.ramsey_sequence(qc.LatticeRegister.basis((1, 3), [0, 0, 0]), np.pi)
-    d_pair = float(np.max(np.abs(qc.normalized_global_phase(pair.state) - _ramsey_pair_expected())))
-    d_trip = float(np.max(np.abs(qc.normalized_global_phase(trip.state) - _ramsey_triplet_expected())))
-    dark = qc.ramsey_sequence(qc.LatticeRegister.basis((1, 2), [0, 0]), 2 * np.pi)
-    bright = 1.0 - abs(dark.state[0]) ** 2
+    d_pair = float(np.max(np.abs(qc.normalized_global_phase(_ramsey_state(2, np.pi)) - _RAMSEY_PAIR_AT_PI)))
+    d_trip = float(np.max(np.abs(qc.normalized_global_phase(_ramsey_state(3, np.pi)) - _RAMSEY_TRIPLET_AT_PI)))
+    bright = 1.0 - abs(_ramsey_state(2, 2 * np.pi)[0]) ** 2
     etas = [0.05, 0.08, 0.12, 0.18]
     censuses = [qc.random_fill((1000, 1000), e, seed=ctx.seed + 17 + i)[1] for i, e in enumerate(etas)]
     slopes = {size: qc.cluster_scaling_exponent(etas, [c.get(size, 0) for c in censuses], 10**6) for size in (2, 3)}
@@ -443,33 +525,13 @@ def _c_ramsey(ctx: AcceptContext):
 
 
 def _c_sweep_constructions(ctx: AcceptContext):
-    ghz = qc.ghz_from_sweep(4)
-    ref = np.zeros(32, dtype=complex)
-    ref[0] = ref[-1] = 1 / np.sqrt(2)
-    ghz_fid = abs(np.vdot(ref, ghz)) ** 2
+    ghz_fid = _ghz_fidelity(4)
+    qft_dev = max(max(_qft_deviations(m)[1]) for m in range(1, 5))
+    cnot_dev = max(abs(ov - 1.0) for _, _, ov in _ftcnot_overlaps(exact_sign=True))
 
-    qft_dev = 0.0
-    for m in range(1, 5):
-        for a in range(2**m):
-            bits = [int(b) for b in format(a, f"0{m}b")]
-            state, _ = qc.sweep_qft(bits)
-            qft_dev = max(qft_dev, float(np.max(np.abs(state - _bit_reversed_dft_column(bits)))))
-
-    s0, s1 = qc.shor_codewords_standard()
-    cw = {0: s0, 1: s1}
-    cnot_dev = 0.0
-    for c in (0, 1):
-        for t in (0, 1):
-            reg = qc.two_block_register(cw[c], cw[t])
-            out = qc.ft_cnot(reg, exact_sign=True)
-            exp = qc.two_block_register(cw[c], cw[t ^ c])
-            cnot_dev = max(cnot_dev, abs(np.vdot(exp.state, out.state) - 1.0))
-
-    alpha, beta = 1 / np.sqrt(3), np.sqrt(2 / 3) * np.exp(0.4j)
-    enc = alpha * s0 + beta * s1
+    enc, reg9 = _armada_block()
     p_clean, post_clean = qc.armada_parity_check(enc, "spin-flip", seed=ctx.seed + 3)
     undisturbed = abs(np.vdot(enc, post_clean)) ** 2
-    reg9 = qc.LatticeRegister((3, 3), tuple(range(9)), (2,) * 9, enc)
     err = qc.apply_pauli_error(reg9, "x", 1)
     p_err, _ = qc.armada_parity_check(err.state, "spin-flip", seed=ctx.seed + 4)
 
@@ -493,11 +555,7 @@ def _c_sweep_constructions(ctx: AcceptContext):
 
 def _c_fidelity_properties(ctx: AcceptContext):
     f_ideal = fidelity.min_fidelity(fidelity.ideal_channel())
-    traj_a = traps.sine_squared_path(0.5, 8.0, 1.0)
-    traj_b = traps.sine_squared_path(6.0, 8.0, 1.0)
-    chan = fidelity.moving_channel(traj_a, traj_b)
-    kts = [0.0, 0.1, 0.2, 0.4]
-    fs = [fidelity.min_fidelity(chan, fidelity.thermal_state(kt) if kt > 0 else None) for kt in kts]
+    kts, fs = _min_fidelity_curve(SCENARIOS["fidelity-curve"][1])
     mono = all(fs[i + 1] <= fs[i] + 1e-12 for i in range(len(fs) - 1))
     ok = abs(f_ideal - 1.0) <= 1e-9 and mono
     return ok, {"ideal_fidelity": f_ideal, "kT_over_hw": kts, "fidelities": fs, "monotone": mono}
@@ -541,8 +599,6 @@ def run_accept(ctx: AcceptContext, only=None):
 
 
 def _scn_gate_moving(cfg, outdir, seed):
-    if cfg["n_samples"] < 1:
-        raise ValidationError(f"config key 'n_samples': expected >= 1, got {cfg['n_samples']}")
     traj = traps.sine_squared_path(cfg["amplitude"], cfg["tau"], cfg["cycles"])
     ts = np.linspace(-traj.tau, traj.tau, cfg["n_samples"])
     rows = [(t, float(np.asarray(traj.x(t))), float(np.asarray(traj.velocity(t)))) for t in ts]
@@ -568,8 +624,6 @@ def _scn_gate_moving(cfg, outdir, seed):
 
 
 def _scn_gate_switching(cfg, outdir, seed):
-    if cfg["max_csv_rows"] < 1:
-        raise ValidationError(f"config key 'max_csv_rows': expected >= 1, got {cfg['max_csv_rows']}")
     sc = traps.SwitchingConfig.rb87_microtrap()
     ser = switching.propagate(
         sc,
@@ -606,11 +660,7 @@ def _scn_gate_switching(cfg, outdir, seed):
 
 
 def _scn_mott(cfg, outdir, seed):
-    lat = mott.BoseHubbardLattice.with_superlattice(
-        cfg["lx"], cfg["ly"], J=cfg["j"], U=cfg["u"], mu=cfg["mu"],
-        amplitude=cfg["amplitude"], period=cfg["period"], boundary=cfg["boundary"],
-    )
-    st = mott.gutzwiller_minimize(lat, n_max=cfg["n_max"])
+    lat, st = _mott_state(cfg)
     labels = mott.phase_classify(st)
     rho, var, phi = st.density, st.number_variance, np.abs(st.order_parameter)
     rows = [
@@ -631,52 +681,22 @@ def _scn_mott(cfg, outdir, seed):
     return 0
 
 
-def _parse_kt_list(text: str) -> list[float]:
-    """Comma-separated temperatures kT/(hbar omega), each in [0, 10]: the
-    level count grows about linearly with kT and the fidelity QP about as
-    its cube, so kT = 10 (230 levels) takes about 1.6 s."""
-    try:
-        kts = [float(v) for v in text.split(",")]
-    except ValueError:
-        raise ValidationError(f"kt_list: expected comma-separated numbers, got {text!r}") from None
-    if not all(0 <= kt <= 10 for kt in kts):
-        raise ValidationError(f"kt_list: every kT must lie in [0, 10], got {text!r}")
-    return kts
-
-
 def _scn_fidelity_curve(cfg, outdir, seed):
-    traj_a = traps.sine_squared_path(cfg["amplitude_a"], cfg["tau"], 1.0)
-    traj_b = traps.sine_squared_path(cfg["amplitude_b"], cfg["tau"], 1.0)
-    chan = fidelity.moving_channel(traj_a, traj_b)
-    kts = _parse_kt_list(cfg["kt_list"])
-    fs = [fidelity.min_fidelity(chan, fidelity.thermal_state(kt) if kt > 0 else None) for kt in kts]
+    kts, fs = _min_fidelity_curve(cfg)
     _write_csv(os.path.join(outdir, "fidelity_curve.csv"), ["kT_over_hbar_omega", "min_fidelity"], list(zip(kts, fs)))
     return 0
 
 
-def _int_in_range(cfg, key, lo, hi):
-    """cfg[key], which must lie in [lo, hi]."""
-    if not lo <= cfg[key] <= hi:
-        raise ValidationError(f"config key {key!r}: expected {lo} <= {key} <= {hi}, got {cfg[key]}")
-    return cfg[key]
-
-
 def _scn_qc_ramsey(cfg, outdir, seed):
     """Pair populations at n_phi phases from 0 to 2 pi; 2 <= n_phi <= 10000
-    (about 2 s at the cap)."""
-    phis = np.linspace(0.0, 2 * np.pi, _int_in_range(cfg, "n_phi", 2, 10_000))
-    rows = []
-    for phi in phis:
-        out = qc.ramsey_sequence(qc.LatticeRegister.basis((1, 2), [0, 0]), float(phi))
-        p = np.abs(out.state) ** 2
-        rows.append((phi, p[0], p[1], p[2], p[3]))
+    (4 to 5 s at the cap, as the other caps are timed in ``SCENARIOS``)."""
+    rows = [(phi, *np.abs(_ramsey_state(2, float(phi))) ** 2) for phi in np.linspace(0.0, 2 * np.pi, cfg["n_phi"])]
     _write_csv(os.path.join(outdir, "ramsey_pair.csv"), ["phi", "p00", "p01", "p10", "p11"], rows)
-    trip = qc.ramsey_sequence(qc.LatticeRegister.basis((1, 3), [0, 0, 0]), np.pi)
     _write_json(
         os.path.join(outdir, "summary.json"),
         {
-            "pair_state_at_pi": [f"{a:.12g}" for a in np.real_if_close(qc.normalized_global_phase(qc.ramsey_sequence(qc.LatticeRegister.basis((1, 2), [0, 0]), np.pi).state))],
-            "triplet_state_at_pi": [f"{a:.12g}" for a in np.real_if_close(qc.normalized_global_phase(trip.state))],
+            f"{name}_state_at_pi": [f"{a:.12g}" for a in np.real_if_close(qc.normalized_global_phase(_ramsey_state(n, np.pi)))]
+            for name, n in (("pair", 2), ("triplet", 3))
         },
     )
     return 0
@@ -692,41 +712,26 @@ def _scn_qc_syndrome_table(cfg, outdir, seed):
 
 
 def _scn_qc_ghz(cfg, outdir, seed):
-    n = cfg["n"]
-    state = qc.ghz_from_sweep(n)
-    ref = np.zeros(2 ** (n + 1), dtype=complex)
-    ref[0] = ref[-1] = 1 / np.sqrt(2)
-    _write_json(
-        os.path.join(outdir, "summary.json"),
-        {"n_parties": n + 1, "fidelity": float(abs(np.vdot(ref, state)) ** 2)},
-    )
+    _write_json(os.path.join(outdir, "summary.json"), {"n_parties": cfg["n"] + 1, "fidelity": _ghz_fidelity(cfg["n"])})
     return 0
 
 
 def _scn_qc_qft(cfg, outdir, seed):
     """Sweep QFT against the DFT for all 2^m inputs.  The work grows as 4^m,
-    so 1 <= m <= 10 (about 2 s at the cap)."""
-    m = _int_in_range(cfg, "m", 1, 10)
-    inputs = [[int(b) for b in format(a, f"0{m}b")] for a in range(2**m)]
-    devs = [float(np.max(np.abs(qc.sweep_qft(bits)[0] - _bit_reversed_dft_column(bits)))) for bits in inputs]
+    so 1 <= m <= 10 (1.4 to 1.8 s at the cap, as timed in ``SCENARIOS``)."""
+    inputs, devs = _qft_deviations(cfg["m"])
     rows = [("".join(map(str, b)), d) for b, d in zip(inputs, devs)]
     _write_csv(os.path.join(outdir, "qft_deviation.csv"), ["input", "max_abs_dev"], rows)
-    _write_json(os.path.join(outdir, "summary.json"), {"m": m, "max_dev": max(devs)})
+    _write_json(os.path.join(outdir, "summary.json"), {"m": cfg["m"], "max_dev": max(devs)})
     return 0
 
 
 def _scn_qc_ftcnot(cfg, outdir, seed):
-    s0, s1 = qc.shor_codewords_standard()
-    cw = {0: s0, 1: s1}
-    rows = []
-    for variant, exact in (("three-quarter", True), ("quarter", False)):
-        for c in (0, 1):
-            for t in (0, 1):
-                reg = qc.two_block_register(cw[c], cw[t])
-                out = qc.ft_cnot(reg, exact_sign=exact)
-                exp = qc.two_block_register(cw[c], cw[t ^ c])
-                ov = np.vdot(exp.state, out.state)
-                rows.append((variant, c, t, t ^ c, float(ov.real), float(ov.imag)))
+    rows = [
+        (variant, c, t, t ^ c, float(ov.real), float(ov.imag))
+        for variant, exact in (("three-quarter", True), ("quarter", False))
+        for c, t, ov in _ftcnot_overlaps(exact)
+    ]
     _write_csv(
         os.path.join(outdir, "ftcnot_truth_table.csv"),
         ["variant", "control", "target_in", "target_out", "amp_re", "amp_im"],
@@ -736,10 +741,7 @@ def _scn_qc_ftcnot(cfg, outdir, seed):
 
 
 def _scn_qc_armada(cfg, outdir, seed):
-    s0, s1 = qc.shor_codewords_standard()
-    alpha, beta = 1 / np.sqrt(3), np.sqrt(2 / 3) * np.exp(0.4j)
-    enc = alpha * s0 + beta * s1
-    reg9 = qc.LatticeRegister((3, 3), tuple(range(9)), (2,) * 9, enc)
+    enc, reg9 = _armada_block()
     rows = []
     for kind, pauli, atoms in (("spin-flip", "x", (0, 1, 2, 4, 5, 7, 8)), ("phase-flip", "z", (0, 1, 2, 3, 4, 5, 6))):
         for atom in atoms:
@@ -758,45 +760,52 @@ def _scn_accept(cfg, outdir, seed):
     only = [s for s in str(cfg["only"]).split(",") if s] if cfg["only"] else None
     if only == []:
         raise ValidationError(f"config key 'only': names no criterion, got {cfg['only']!r}")
-    if not (np.isfinite(cfg["tamper_lx_phase"]) and np.isfinite(cfg["tamper_g_scale"])):
-        raise ValidationError("config keys 'tamper_lx_phase' and 'tamper_g_scale' must be finite")
     ctx = AcceptContext(seed=seed, tamper_lx_phase=cfg["tamper_lx_phase"], tamper_g_scale=cfg["tamper_g_scale"])
     results = run_accept(ctx, only=only)
     all_pass = all(r["passed"] for r in results)
     _write_json(os.path.join(outdir, "accept_report.json"), {"passed": all_pass, "criteria": results})
+    lines = [f"[{'PASS' if r['passed'] else 'FAIL'}] {r['criterion']}\n" for r in results]
     with open(os.path.join(outdir, "accept_summary.txt"), "w") as fh:
-        for r in results:
-            fh.write(f"[{'PASS' if r['passed'] else 'FAIL'}] {r['criterion']}\n")
-        fh.write(f"overall: {'PASS' if all_pass else 'FAIL'}\n")
-    for r in results:
-        print(f"[{'PASS' if r['passed'] else 'FAIL'}] {r['criterion']}")
+        fh.write("".join(lines) + f"overall: {'PASS' if all_pass else 'FAIL'}\n")
+    print("".join(lines), end="")
     return 0 if all_pass else 1
 
 
+# name -> (function, defaults, bounds {key: (lo, hi)}), checked by _resolve.
+# A bound is set only where the library call would not refuse the value
+# itself.  A cap on a size keeps its scenario to seconds: wall time of one
+# process (1.3 s of imports included, 2-core Xeon) with the key at its cap and
+# the other keys at their defaults is n_samples 2.4 s; n_periods 3.4 s,
+# steps_per_period 3.9 s (43 s with both at their caps), grid_n 4.4 s,
+# max_csv_rows 1.6 s; lx or ly 2.5 s (10 s with both), n_max 3.9 s.
 SCENARIOS = {
     "gate-moving": (
         _scn_gate_moving,
         {"amplitude": 6.0, "tau": 25.0, "cycles": 1.0, "n_samples": 501, "separation": 12.0, "min_distance": 0.5, "a_s": 0.01},
+        {"n_samples": (1, 100_000)},
     ),
     "gate-switching": (
         _scn_gate_switching,
         {"n_periods": 7, "grid_n": 4096, "grid_l": 32.0, "steps_per_period": 4000, "sigma_reg": 0.0176, "max_csv_rows": 2800},
+        {"n_periods": (None, 100), "grid_n": (None, 65_536), "steps_per_period": (None, 100_000), "max_csv_rows": (1, 100_000)},
     ),
     "mott": (
         _scn_mott,
         {"lx": 18, "ly": 18, "j": 1.0, "u": 30.0, "mu": 15.0, "amplitude": 40.0, "period": 9.0, "boundary": "periodic", "n_max": 6},
+        {"lx": (None, 128), "ly": (None, 128), "n_max": (None, 32)},
     ),
     "fidelity-curve": (
         _scn_fidelity_curve,
         {"amplitude_a": 0.5, "amplitude_b": 6.0, "tau": 8.0, "kt_list": "0,0.1,0.2,0.4"},
+        {},
     ),
-    "qc-ramsey": (_scn_qc_ramsey, {"n_phi": 33}),
-    "qc-syndrome-table": (_scn_qc_syndrome_table, {"alpha": 0.6, "beta_re": 0.0, "beta_im": 0.8}),
-    "qc-ghz": (_scn_qc_ghz, {"n": 4}),
-    "qc-qft": (_scn_qc_qft, {"m": 3}),
-    "qc-ftcnot": (_scn_qc_ftcnot, {}),
-    "qc-armada": (_scn_qc_armada, {}),
-    "accept": (_scn_accept, {"only": "", "tamper_lx_phase": 0.0, "tamper_g_scale": 1.0}),
+    "qc-ramsey": (_scn_qc_ramsey, {"n_phi": 33}, {"n_phi": (2, 10_000)}),
+    "qc-syndrome-table": (_scn_qc_syndrome_table, {"alpha": 0.6, "beta_re": 0.0, "beta_im": 0.8}, {}),
+    "qc-ghz": (_scn_qc_ghz, {"n": 4}, {}),
+    "qc-qft": (_scn_qc_qft, {"m": 3}, {"m": (1, 10)}),
+    "qc-ftcnot": (_scn_qc_ftcnot, {}, {}),
+    "qc-armada": (_scn_qc_armada, {}, {}),
+    "accept": (_scn_accept, {"only": "", "tamper_lx_phase": 0.0, "tamper_g_scale": 1.0}, {}),
 }
 
 
@@ -810,13 +819,11 @@ def main(argv=None) -> int:
 
     outdir = os.environ.get("COLDGATE_OUT", args.out)
     try:
-        fn, defaults = SCENARIOS[args.scenario]
+        fn, defaults, bounds = SCENARIOS[args.scenario]
         overrides = parse_config_file(args.config) if args.config else {}
-        cfg = _resolve(defaults, overrides)
+        cfg = _resolve(defaults, bounds, overrides)
         os.makedirs(outdir, exist_ok=True)
-        resolved = dict(cfg)
-        resolved.update({"scenario": args.scenario, "seed": args.seed})
-        _write_json(os.path.join(outdir, "resolved_config.json"), resolved)
+        _write_json(os.path.join(outdir, "resolved_config.json"), dict(cfg, scenario=args.scenario, seed=args.seed))
         return fn(cfg, outdir, args.seed)
     except (ValidationError, PerturbationInvalid, OverflowError) as e:
         # an interaction too strong for the perturbative model, or a path
@@ -827,6 +834,10 @@ def main(argv=None) -> int:
     except _NONCONVERGENCE as e:
         print(f"non-convergence: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
+    except Exception:
+        # a fault of the program, kept apart from a failed gate (exit 1)
+        traceback.print_exc()
+        return 4
 
 
 if __name__ == "__main__":

@@ -620,8 +620,8 @@ def ghz_from_sweep(N: int):
 
     Returns a 2^(N+1) statevector with the transport level relabeled |1>.
     """
-    if N < 1:
-        raise ValidationError(f"ghz_from_sweep needs N >= 1 string atoms, got {N!r}")
+    if not 1 <= N < MAX_QUBITS:  # refuse before the N phases are listed
+        raise ValidationError(f"ghz_from_sweep needs 1 <= N <= {MAX_QUBITS - 1} string atoms, got {N!r}")
     reg = sweep([np.pi] * N)
     for j in range(1, N + 1):
         reg = single_qubit(reg, j, "H")

@@ -121,28 +121,16 @@ class Trajectory:
     derivs: list[Callable] | None = None  # analytic derivatives, derivs[n] = d^n x/dt^n
 
     def velocity(self, t):
-        if self.dx is not None:
-            return self.dx(t)
-        h = 1e-6 * max(self.tau, 1.0)
-        return (np.asarray(self.x(t + h)) - np.asarray(self.x(t - h))) / (2 * h)
+        return self.derivative(1)(t)
 
     def derivative(self, n: int):
-        """n-th time derivative as a callable; analytic if available."""
-        if n == 0:
-            return self.x
-        if self.derivs is not None and n < len(self.derivs):
-            return self.derivs[n]
-        if n == 1 and self.dx is not None:
-            return self.dx
-        if n == 2 and self.d2x is not None:
-            return self.d2x
-        prev = self.derivative(n - 1)
-        h = 1e-4 * max(self.tau, 1.0)
-
-        def d(t, _p=prev, _h=h):
-            return (np.asarray(_p(t + _h)) - np.asarray(_p(t - _h))) / (2 * _h)
-
-        return d
+        """n-th time derivative as a callable, from the analytic ones the
+        path carries; ValidationError past them, since finite differences are
+        not accurate enough for ``moving.correction_terms``."""
+        known = self.derivs or [self.x, self.dx, self.d2x]
+        if 0 <= n < len(known) and known[n] is not None:
+            return known[n]
+        raise ValidationError(f"this path carries no analytic derivative of order {n}")
 
 
 def _check_path(amplitude, **positive):

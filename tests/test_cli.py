@@ -270,6 +270,41 @@ def test_bad_input_exits_2(tmp_path, scenario, line):
     assert cli.main([scenario, "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2
 
 
+_INT_KEYS = [(scn, key) for scn, (_, defaults, _) in sorted(cli.SCENARIOS.items()) for key, d in defaults.items() if type(d) is int]
+
+
+# every size key at 1e9 was a hang, a MemoryError traceback with exit 1, or
+# (max_csv_rows) a run to the end; it must be refused before any work
+@pytest.mark.parametrize("scenario, key", _INT_KEYS, ids=[f"{s}-{k}" for s, k in _INT_KEYS])
+def test_int_key_at_1e9_exits_2(tmp_path, capsys, scenario, key):
+    cfgp = tmp_path / "c.cfg"
+    cfgp.write_text(f"{key}={10**9}\n")
+    assert cli.main([scenario, "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:")
+    lo, hi = cli.SCENARIOS[scenario][2].get(key, (None, None))
+    if hi is not None:  # the message names the key and its bounds
+        assert f"{key} <= {hi}, got {10**9}" in err
+
+
+def test_defaults_lie_within_bounds():
+    for scenario, (_, defaults, bounds) in cli.SCENARIOS.items():
+        for key, (lo, hi) in bounds.items():
+            assert (lo is None or lo <= defaults[key]) and (hi is None or defaults[key] <= hi), (scenario, key)
+        assert cli._resolve(defaults, bounds, defaults) == defaults
+
+
+def test_internal_error_exits_4(tmp_path, capsys, monkeypatch):
+    # a fault of the program is not a failed gate (exit 1)
+    def broken(cfg, outdir, seed):
+        raise RuntimeError("broken scenario")
+
+    _, defaults, bounds = cli.SCENARIOS["qc-ghz"]
+    monkeypatch.setitem(cli.SCENARIOS, "qc-ghz", (broken, defaults, bounds))
+    assert cli.main(["qc-ghz", "--out", str(tmp_path / "o")]) == 4
+    assert "RuntimeError: broken scenario" in capsys.readouterr().err
+
+
 # paths spanning 2e6 time units, or turning 1e6 times, ran for over 40 s in
 # adaptive ODE and quadrature calls; the capped Chebyshev rule gives up at once
 @pytest.mark.parametrize(

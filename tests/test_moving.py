@@ -197,3 +197,12 @@ def test_correction_expansion_hierarchy_warning():
     traj = traps.sine_squared_path(5.0, 2.0, 4.0)
     with pytest.warns(HierarchyViolated):
         moving.correction_terms(traj, 4)
+
+
+def test_correction_terms_past_analytic_derivatives_raises():
+    # the bump carries derivatives to d2x only; differencing past them put
+    # the order-3 total off by 1.1e-7 and made order 4 unresolvable
+    traj = traps.gaussian_bump_path(5.0, 20.0, 3.2)
+    with pytest.raises(ValidationError, match="order 3"):
+        moving.correction_terms(traj, 3)
+    assert moving.correction_terms(traj, 2).total == pytest.approx(moving.evolve_coherent(traj, traj.tau).K, abs=1e-12)

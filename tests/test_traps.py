@@ -72,6 +72,13 @@ def test_sine_squared_path_derivatives():
     assert np.allclose(d3(tt), num3, atol=1e-4)
 
 
+def test_velocity_without_analytic_derivative_raises():
+    path = traps.Trajectory(tau=1.0, x=np.sin)
+    assert path.derivative(0) is np.sin
+    with pytest.raises(ValidationError, match="order 1"):
+        path.velocity(0.0)
+
+
 @pytest.mark.parametrize(
     "make",
     [
