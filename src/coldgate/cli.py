@@ -95,7 +95,8 @@ def _resolve(defaults: dict, bounds: dict, overrides: dict) -> dict:
     """The defaults with the overrides applied, and the only check of scenario
     input: each key is known, has its default's type (an int widens to a float,
     a bool is refused for an int), is finite if a float, and lies in its bounds
-    (lo, hi) if it has any, where None leaves that side to the library call."""
+    (lo, hi) if it has any, where None leaves that side to the library call.
+    A bounds entry keyed by a tuple of keys bounds the product of their values."""
     unknown = sorted(set(overrides) - set(defaults))
     if unknown:
         raise ValidationError(f"unknown config keys: {', '.join(unknown)}")
@@ -112,11 +113,14 @@ def _resolve(defaults: dict, bounds: dict, overrides: dict) -> dict:
             raise ValidationError(f"config key {k!r}: expected {type(d).__name__}")
         if isinstance(v, float) and not math.isfinite(v):
             raise ValidationError(f"config key {k!r}: expected a finite number, got {v}")
-        lo, hi = bounds.get(k, (None, None))
-        if (lo is not None and v < lo) or (hi is not None and v > hi):
-            span = " <= ".join(str(b) for b in (lo, k, hi) if b is not None)
-            raise ValidationError(f"config key {k!r}: expected {span}, got {v}")
         cfg[k] = v
+    for key, (lo, hi) in bounds.items():
+        keys = key if isinstance(key, tuple) else (key,)
+        v = math.prod(cfg[k] for k in keys)
+        if (lo is not None and v < lo) or (hi is not None and v > hi):
+            name = " * ".join(keys)
+            span = " <= ".join(str(b) for b in (lo, name, hi) if b is not None)
+            raise ValidationError(f"config key {name!r}: expected {span}, got {v}")
     return cfg
 
 
@@ -771,13 +775,15 @@ def _scn_accept(cfg, outdir, seed):
     return 0 if all_pass else 1
 
 
-# name -> (function, defaults, bounds {key: (lo, hi)}), checked by _resolve.
-# A bound is set only where the library call would not refuse the value
-# itself.  A cap on a size keeps its scenario to seconds: wall time of one
-# process (1.3 s of imports included, 2-core Xeon) with the key at its cap and
-# the other keys at their defaults is n_samples 2.4 s; n_periods 3.4 s,
-# steps_per_period 3.9 s (43 s with both at their caps), grid_n 4.4 s,
-# max_csv_rows 1.6 s; lx or ly 2.5 s (10 s with both), n_max 3.9 s.
+# name -> (function, defaults, bounds {key: (lo, hi)}), checked by _resolve;
+# a tuple of keys bounds the product of their values.  A bound is set only
+# where the library call would not refuse the value itself.  A cap on a size
+# keeps its scenario to seconds: wall time of one process (1.3 s of imports
+# included, 2-core Xeon) with the key at its cap and the other keys at their
+# defaults is n_samples 2.4 s; n_periods 3.4 s, steps_per_period 3.9 s,
+# grid_n 4.4 s, max_csv_rows 1.6 s; lx or ly 2.5 s, n_max 3.9 s.  A pair at
+# their single caps ran 43 s (n_periods, steps_per_period) and 10 s (lx, ly);
+# at the product caps (0.3 s of imports) 6.4-6.6 s and 3.7-8.2 s (lx=ly=64).
 SCENARIOS = {
     "gate-moving": (
         _scn_gate_moving,
@@ -787,12 +793,18 @@ SCENARIOS = {
     "gate-switching": (
         _scn_gate_switching,
         {"n_periods": 7, "grid_n": 4096, "grid_l": 32.0, "steps_per_period": 4000, "sigma_reg": 0.0176, "max_csv_rows": 2800},
-        {"n_periods": (None, 100), "grid_n": (None, 65_536), "steps_per_period": (None, 100_000), "max_csv_rows": (1, 100_000)},
+        {
+            "n_periods": (None, 100),
+            "grid_n": (None, 65_536),
+            "steps_per_period": (None, 100_000),
+            "max_csv_rows": (1, 100_000),
+            ("n_periods", "steps_per_period"): (None, 1_000_000),
+        },
     ),
     "mott": (
         _scn_mott,
         {"lx": 18, "ly": 18, "j": 1.0, "u": 30.0, "mu": 15.0, "amplitude": 40.0, "period": 9.0, "boundary": "periodic", "n_max": 6},
-        {"lx": (None, 128), "ly": (None, 128), "n_max": (None, 32)},
+        {"lx": (None, 128), "ly": (None, 128), "n_max": (None, 32), ("lx", "ly"): (None, 4_096)},
     ),
     "fidelity-curve": (
         _scn_fidelity_curve,

@@ -24,8 +24,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import eval_laguerre
 
 from .errors import ValidationError
 from .moving import evolve_coherent
@@ -166,6 +164,14 @@ def min_fidelity(
     return fmin
 
 
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported at the first call: only the
+    test oracle ``_min_fidelity_multistart`` needs it."""
+    from scipy.optimize import minimize
+
+    return minimize(*args, **kwargs)
+
+
 def _min_fidelity_multistart(
     channel: GateChannel,
     rho_ext: ThermalMotionalState | None = None,
@@ -199,6 +205,15 @@ def _min_fidelity_multistart(
     return float(np.clip(min(minimize(cost, u0, method="L-BFGS-B").fun for u0 in starts), 0.0, 1.0))
 
 
+def _laguerre(n: int, x: float) -> float:
+    """The Laguerre polynomial L_n(x), by the recurrence
+    L_{k+1} = ((2k + 1 - x) L_k - k L_{k-1}) / (k + 1)."""
+    prev, cur = 0.0, 1.0  # L_{-1}, L_0
+    for k in range(n):
+        prev, cur = cur, ((2 * k + 1 - x) * cur - k * prev) / (k + 1)
+    return cur
+
+
 def moving_channel(
     traj_a: Trajectory,
     traj_b: Trajectory,
@@ -218,7 +233,7 @@ def moving_channel(
 
     def atom_amp(lab, n):
         g2 = abs(resid[lab]) ** 2
-        return float(np.exp(-g2 / 2) * eval_laguerre(n, g2))
+        return float(np.exp(-g2 / 2) * _laguerre(n, g2))
 
     basis = ("aa", "ab", "ba", "bb")
 

@@ -9,12 +9,13 @@ numbers K and beta.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.fft  # numpy loads it lazily; load it with the module, not in the first step
 from numpy.polynomial.chebyshev import chebint, chebval
-from scipy.special import gammaln
 
 from .errors import HierarchyViolated, PerturbationInvalid, QuadratureFailure, ValidationError
 from .traps import Trajectory
@@ -71,7 +72,7 @@ class CoherentEvolution:
     def amplitudes(self, n_max: int):
         """Oscillator-basis amplitudes c_n, n = 0..n_max."""
         n = np.arange(n_max + 1)
-        logfact = gammaln(n + 1.0)
+        logfact = np.array([math.lgamma(k + 1.0) for k in n])
         g = self.gamma
         # gamma^n / sqrt(n!) with care at gamma = 0
         if g == 0:

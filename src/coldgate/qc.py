@@ -23,6 +23,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
+import numpy.random  # numpy loads it lazily; load it with the module, not in the first step
 
 from .errors import GeometryMismatch, NonBasisSyndrome, ValidationError
 

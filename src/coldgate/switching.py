@@ -17,7 +17,7 @@ The other grid propagations, ``propagate_ab``, ``_release_amplitudes`` and
 the transport oracle of ``cli``, run through one split-step kernel,
 ``_split_step``, which is also the test oracle of the spectral (b,b) series.
 It advances a stacked batch of wavefunctions, shape (k, N) or (k, N, N), in
-place with one ``scipy.fft`` transform pair per step for the whole batch.
+place with one ``numpy.fft`` transform pair per step for the whole batch.
 The transport oracle runs all its trajectories as one stack, each member
 with its own time step, dropping a member when its run ends; it composes
 the Strang step to fourth order, so the kernel cycles through the kinetic
@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, replace
 from itertools import chain, cycle, repeat
 
 import numpy as np
-from scipy import fft
+import numpy.fft  # numpy loads it lazily; load it with the module, not in the first step
 
 from .errors import ConvergenceFailure, NormLoss, ValidationError
 from .traps import HBAR, SwitchingConfig
@@ -179,17 +179,15 @@ def _split_step(psi, kicks, dt, dx, n_steps, every=0, observe=None):
     # substep j takes the kinetic factor of stage j % m
     kinetic = cycle(expK if np.ndim(dt) > psi.ndim else [expK])
     # 1D members transform along their last axis, 2D members over both
-    forward, inverse = (fft.fft, fft.ifft) if psi.ndim == 2 else (fft.fft2, fft.ifft2)
+    forward, inverse = (np.fft.fft, np.fft.ifft) if psi.ndim == 2 else (np.fft.fft2, np.fft.ifft2)
     seg = every or max(n_steps, 1)
     for s0 in range(0, n_steps, seg):
         s1 = min(s0 + seg, n_steps)
         factors = iter(kicks(s0, s1))
         psi *= next(factors)
         for kick, expK in zip(factors, kinetic):
-            # overwrite_x lets the transform reuse psi's buffer; out=psi keeps
-            # the result there either way
-            np.multiply(forward(psi, overwrite_x=True), expK, out=psi)
-            np.multiply(inverse(psi, overwrite_x=True), kick, out=psi)
+            np.multiply(forward(psi, out=psi), expK, out=psi)
+            np.multiply(inverse(psi, out=psi), kick, out=psi)
         if observe is not None and s1 % seg == 0:
             observe(s1, psi)
 
@@ -273,16 +271,37 @@ class _EvenSector:
         self.w = np.full(n, np.sqrt(2 * grid.dx))
         self.w[[0, -1]] = np.sqrt(grid.dx)
         self.kinetic = 0.5 * (2 * np.pi / grid.L * np.arange(n)) ** 2
+        # the even mirrors of BLOCK_SIZE rows and their spectra, reused by
+        # every dct_diagonal call so that it allocates nothing
+        self._mirror = np.empty((BLOCK_SIZE, grid.N))
+        self._spec = np.empty((BLOCK_SIZE, n), dtype=complex)
 
     def dct_diagonal(self, Y, factor):
         """The operator that multiplies DCT-I coefficients by ``factor``,
-        applied to the rows of Y in place; returns Y."""
-        Y /= self.w
-        Y = fft.dct(Y, type=1, overwrite_x=True)
-        Y *= factor
-        Y = fft.idct(Y, type=1, overwrite_x=True)
-        Y *= self.w
+        applied in place to the rows of Y, or to Y if it is one vector;
+        returns Y.  Runs BLOCK_SIZE rows at a time through ``_dct1`` in the
+        sector's two buffers."""
+        rows = Y[None] if Y.ndim == 1 else Y
+        for s in range(0, len(rows), BLOCK_SIZE):
+            block = rows[s : s + BLOCK_SIZE]
+            mirror, spec = self._mirror[: len(block)], self._spec[: len(block)]
+            block /= self.w
+            np.multiply(_dct1(block, mirror, spec), factor, out=block)
+            np.multiply(_dct1(block, mirror, spec, "forward"), self.w, out=block)
         return Y
+
+
+def _dct1(Y, mirror=None, spec=None, norm=None):
+    """The DCT-I of the rows of Y, shape (m, n), as the real part of the
+    rfft of their even mirrors [y, y[n-2:0:-1]] (a view of the spectrum);
+    with norm="forward" the inverse, the transform divided by 2 (n - 1).
+    The mirrors and the spectrum go to ``mirror`` and ``spec`` if given."""
+    n = Y.shape[1]
+    if mirror is None:
+        mirror = np.empty((len(Y), 2 * (n - 1)))
+    mirror[:, :n] = Y
+    mirror[:, n:] = Y[:, n - 2 : 0 : -1]
+    return np.fft.rfft(mirror, norm=norm, out=spec).real
 
 
 def _even_hermite(x, count):
@@ -302,11 +321,9 @@ def _dct_interpolate(U, n):
     n > U.shape[1] points on the same interval by a zero-padded DCT-I."""
     m = U.shape[1]
     coef = np.zeros((len(U), n))
-    coef[:, :m] = fft.dct(U, type=1)
+    coef[:, :m] = _dct1(U)
     coef[:, m - 1] *= 0.5  # the old Nyquist term is an interior one now
-    out = fft.idct(coef, type=1, overwrite_x=True)
-    out *= (n - 1) / (m - 1)
-    return out
+    return _dct1(coef, norm="forward") * ((n - 1) / (m - 1))
 
 
 def _start_block(sector: _EvenSector, start=None):

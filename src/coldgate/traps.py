@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import NoMinimum, ValidationError
 
@@ -89,6 +88,8 @@ def harmonic_approx(
     is False when the well depth (measured to the potential value one width
     away) is below ``min_depth``.
     """
+    from scipy.optimize import minimize_scalar
+
     res = minimize_scalar(
         potential,
         bracket=None,

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -288,10 +289,39 @@ def test_int_key_at_1e9_exits_2(tmp_path, capsys, scenario, key):
 
 
 def test_defaults_lie_within_bounds():
+    # a tuple of keys bounds the product of their values
     for scenario, (_, defaults, bounds) in cli.SCENARIOS.items():
         for key, (lo, hi) in bounds.items():
-            assert (lo is None or lo <= defaults[key]) and (hi is None or defaults[key] <= hi), (scenario, key)
+            v = math.prod(defaults[k] for k in (key if isinstance(key, tuple) else (key,)))
+            assert (lo is None or lo <= v) and (hi is None or v <= hi), (scenario, key)
         assert cli._resolve(defaults, bounds, defaults) == defaults
+
+
+_PRODUCT_CAPS = [(scn, key) for scn, (_, _, bounds) in sorted(cli.SCENARIOS.items()) for key in bounds if isinstance(key, tuple)]
+
+
+@pytest.mark.parametrize("scenario, keys", _PRODUCT_CAPS, ids=[f"{s}-{'-'.join(k)}" for s, k in _PRODUCT_CAPS])
+def test_keys_at_their_single_caps_exit_2(tmp_path, capsys, scenario, keys):
+    # each key at its own cap is accepted, but together they set more work
+    # than their product cap allows (gate-switching 43 s, mott 10 s)
+    _, defaults, bounds = cli.SCENARIOS[scenario]
+    caps = {k: bounds[k][1] for k in keys}
+    for k, cap in caps.items():
+        assert cli._resolve(defaults, bounds, {k: cap})[k] == cap
+    cfgp = tmp_path / "c.cfg"
+    cfgp.write_text("".join(f"{k}={cap}\n" for k, cap in caps.items()))
+    assert cli.main([scenario, "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:") and all(k in err for k in keys)
+    assert f"<= {bounds[keys][1]}, got {math.prod(caps.values())}" in err
+
+
+def test_import_does_not_load_scipy():
+    # scipy is a test dependency only: no scenario needs it
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(coldgate.__file__)))
+    code = "import sys, coldgate.cli; print(' '.join(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == []
 
 
 def test_internal_error_exits_4(tmp_path, capsys, monkeypatch):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import eval_laguerre
 
-from coldgate import fidelity, switching, traps
+from coldgate import cli, fidelity, switching, traps
 from coldgate.errors import ValidationError
 
 
@@ -67,6 +68,23 @@ def test_moving_channel_monotone_in_temperature():
         rho = fidelity.thermal_state(kt) if kt > 0 else None
         fs.append(fidelity.min_fidelity(chan, rho))
     assert all(fs[i + 1] <= fs[i] + 1e-12 for i in range(3))
+
+
+def test_laguerre_recurrence_matches_scipy(monkeypatch):
+    # every (n, x) that moving_channel evaluates at the fidelity-curve defaults
+    seen = []
+    laguerre = fidelity._laguerre
+
+    def spy(n, x):
+        seen.append((n, x))
+        return laguerre(n, x)
+
+    monkeypatch.setattr(fidelity, "_laguerre", spy)
+    cli._min_fidelity_curve(cli.SCENARIOS["fidelity-curve"][1])
+    assert len({n for n, _ in seen}) > 5 and len({x for _, x in seen}) == 2
+    for n, x in set(seen):
+        ref = eval_laguerre(n, x)
+        assert abs(laguerre(n, x) - ref) <= 1e-12 * max(1.0, abs(ref)), (n, x)
 
 
 def test_switching_channel_reference_point(ref_cfg, bb_series):

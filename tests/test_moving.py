@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad, solve_ivp
+from scipy.special import gammaln
 
 import coldgate
 from coldgate import cli, moving, traps
@@ -106,6 +107,14 @@ def test_evolution_amplitudes_normalized():
     assert float(np.sum(occ)) == pytest.approx(1.0, abs=1e-10)
     n = np.arange(61)
     assert float(np.dot(n, occ)) == pytest.approx(abs(ev.gamma) ** 2, abs=1e-9)
+
+
+def test_evolution_amplitudes_match_gammaln_form():
+    traj = traps.sine_squared_path(3.0, 6.0, 1.0)
+    ev = moving.evolve_coherent(traj, traj.tau)
+    n = np.arange(61)
+    expected = np.exp(1j * ev.beta) * np.exp(n * np.log(complex(ev.gamma)) - 0.5 * gammaln(n + 1.0))
+    assert np.max(np.abs(ev.amplitudes(60) - expected)) <= 1e-14
 
 
 def test_gaussian_density_product_against_quadrature():
