@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -127,33 +128,6 @@ def _resolve(defaults: dict, bounds: dict, overrides: dict) -> dict:
 # -- shared helpers --------------------------------------------------------
 
 
-def _moving_well_kicks(x, dt, centre):
-    """Kicks of ``switching._split_step`` for a stack of k moving wells
-    V_j = (x - a_j)^2/2, one per row, where a_j is the well centre at the
-    midpoint of substep j.  ``dt`` holds the substep lengths h_j, shape
-    (m, k, 1), that substep j takes from stage j % m, as the kernel reads
-    them, and ``centre(j)`` returns the centres of each row for an array of
-    substep indices j, shape (k, len(j)).
-
-    The half kicks of substeps j-1 and j fuse to one factor
-    exp(-i [h_{j-1} (x - a_{j-1})^2 + h_j (x - a_j)^2]/4), one exponential
-    over the stack.  The centres and phases are drawn 16 substeps at a time,
-    so memory does not grow with the number of steps.
-    """
-    quarter = 0.25 * np.asarray(dt)
-
-    def kicks(s0, s1):
-        last = 0.0
-        for lo in range(s0, s1, 16):
-            j = np.arange(lo, min(lo + 16, s1))
-            for q in quarter[j % len(quarter)] * (x - centre(j).T[..., None]) ** 2:
-                yield np.exp(-1j * (last + q))
-                last = q
-        yield np.exp(-1j * last)
-
-    return kicks
-
-
 # Suzuki's fourth-order composition of a symmetric step, S(p h) S(p h)
 # S((1 - 4p) h) S(p h) S(p h) with p = 1/(4 - 4^(1/3)) (Phys. Lett. A 146,
 # 319 (1990)), and the midpoint of each stage as a fraction of h
@@ -172,7 +146,8 @@ def _transport_grid_states(trajs, N: int = 256, L: float = 36.0, dt: float = 0.1
     each substep.  The rows run as one stack, longest run first; the kernel
     advances the prefix of rows that are still running, one call per
     distinct end step, so each fixed cost of a substep is paid once for the
-    whole stack.
+    whole stack.  Each row's well centres are evaluated once, at the
+    midpoints of all substeps of the longest run.
     """
     dx = L / N
     x = (np.arange(N) - N // 2) * dx
@@ -187,6 +162,10 @@ def _transport_grid_states(trajs, N: int = 256, L: float = 36.0, dt: float = 0.1
     starts = np.array([float(np.asarray(path(-tau))) for path, tau in zip(paths, taus)])
     psi = np.pi ** (-0.25) * np.exp(-0.5 * (x - starts[:, None]) ** 2)
     psi = psi.astype(complex) / np.sqrt(np.sum(np.abs(psi) ** 2, axis=1, keepdims=True) * dx)
+    j = np.arange(m * n_steps.max(initial=0))
+    t = -taus[:, None] + (j // m + _SUZUKI_MIDPOINTS[j % m]) * dts
+    centres = np.reshape([path(row) for path, row in zip(paths, t)], t.shape + (1,))
+    quarter = 0.25 * stages
 
     done = 0
     for k in range(len(paths), 0, -1):
@@ -194,11 +173,11 @@ def _transport_grid_states(trajs, N: int = 256, L: float = 36.0, dt: float = 0.1
         if end == done:
             continue
 
-        def centre(j, k=k, done=done):
-            t = -taus[:k, None] + (done + j // m + _SUZUKI_MIDPOINTS[j % m]) * dts[:k]
-            return np.stack([path(row) for path, row in zip(paths, t)])
+        # V_j = (x - a_j)^2/2, so the half kick of substep j is exp(-i h_j (x - a_j)^2/4)
+        def kick(j, k=k, base=m * done):
+            return np.exp(-1j * (quarter[j % m, :k] * (x - centres[:k, base + j]) ** 2))
 
-        switching._split_step(psi[:k], _moving_well_kicks(x, stages[:, :k], centre), stages[:, :k], dx, m * (end - done))
+        switching._split_step(psi[:k], kick, stages[:, :k], dx, m * (end - done))
         done = end
     out = np.empty_like(psi)
     out[order] = psi
@@ -394,22 +373,17 @@ class AcceptContext:
         self.seed = int(seed)
         self.lx_phase = np.pi + float(tamper_lx_phase)
         self.g_scale = float(tamper_g_scale)
-        self._cache = {}
 
-    @property
+    @functools.cached_property
     def cfg(self) -> traps.SwitchingConfig:
-        if "cfg" not in self._cache:
-            base = traps.SwitchingConfig.rb87_microtrap()
-            if self.g_scale != 1.0:
-                base = dataclasses.replace(base, a_s_bb=base.a_s_bb * self.g_scale)
-            self._cache["cfg"] = base
-        return self._cache["cfg"]
+        base = traps.SwitchingConfig.rb87_microtrap()
+        if self.g_scale != 1.0:
+            base = dataclasses.replace(base, a_s_bb=base.a_s_bb * self.g_scale)
+        return base
 
-    @property
+    @functools.cached_property
     def bb_series(self) -> switching.SwitchTimeSeries:
-        if "bb" not in self._cache:
-            self._cache["bb"] = switching.propagate(self.cfg, ("b", "b"))
-        return self._cache["bb"]
+        return switching.propagate(self.cfg, ("b", "b"))
 
 
 def _c_switching_phase(ctx: AcceptContext):
@@ -435,7 +409,7 @@ def _c_switching_revival(ctx: AcceptContext):
 def _c_cm_analytic(ctx: AcceptContext):
     nu0 = ctx.cfg.omega0 / ctx.cfg.omega
     steps = 2000
-    t, amps = switching._release_amplitudes(nu0, 0.0, 1024, 24.0, steps, steps)
+    t, amps = switching._release_amplitudes(nu0, 0.0, 1024, 24.0, steps)
     sel = np.linspace(0, steps, 100).astype(int)
     grid_sq = np.abs(amps[sel]) ** 2
     ana = switching.cm_overlap_analytic(nu0, 1.0, t[sel])
@@ -638,7 +612,7 @@ def _scn_gate_switching(cfg, outdir, seed):
         steps_per_period=cfg["steps_per_period"],
         sigma_reg=cfg["sigma_reg"],
     )
-    stride = max(1, len(ser.t) // cfg["max_csv_rows"])
+    stride = -(-len(ser.t) // cfg["max_csv_rows"])  # ceiling: at most max_csv_rows rows
     rows = [
         (ser.t[i], ser.phase[i], ser.overlap_init[i], ser.overlap_ref[i])
         for i in range(0, len(ser.t), stride)

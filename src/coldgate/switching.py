@@ -21,14 +21,14 @@ place with one ``numpy.fft`` transform pair per step for the whole batch.
 The transport oracle runs all its trajectories as one stack, each member
 with its own time step, dropping a member when its run ends; it composes
 the Strang step to fourth order, so the kernel cycles through the kinetic
-factors of the composition's stages.  Between observations the two half
-kicks that meet between steps are applied as one full kick, and a
-time-dependent potential supplies each fused kick as the kernel draws it.
+factors of the composition's stages.  The caller supplies the half kick of
+each substep by its index; between observations the kernel applies the two
+half kicks that meet between substeps as one product.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import chain, cycle, repeat
+from itertools import cycle
 
 import numpy as np
 import numpy.fft  # numpy loads it lazily; load it with the module, not in the first step
@@ -144,13 +144,7 @@ class TwoParticleGrid:
         return (np.arange(self.N) - self.N // 2) * self.dx
 
 
-def _static_kicks(half):
-    """The kicks of ``_split_step`` for a static potential with half kick ``half``."""
-    full = half * half
-    return lambda s0, s1: chain((half,), repeat(full, s1 - s0 - 1), (half,))
-
-
-def _split_step(psi, kicks, dt, dx, n_steps, every=0, observe=None):
+def _split_step(psi, kick, dt, dx, n_steps, every=0, observe=None):
     """Advance the stacked batch ``psi``, of shape (k, N) or (k, N, N), in
     place by ``n_steps`` Strang substeps exp(-i dt V/2) exp(-i dt T) exp(-i dt V/2)
     with T = -(1/2) times the Laplacian on a periodic grid of spacing ``dx``.
@@ -159,21 +153,16 @@ def _split_step(psi, kicks, dt, dx, n_steps, every=0, observe=None):
     for a (k, N) batch, so that each member advances with its own kinetic
     factor.  A composition of m substeps of different lengths passes a
     stage axis in front, shape (m, k, 1): substep j then uses the steps of
-    stage j % m.  ``kicks`` is the half kick exp(-i dt V/2) of a static
-    potential, which broadcasts against ``psi``, or, for a time-dependent
-    potential, a callable ``kicks(s0, s1)`` that yields the s1 - s0 + 1
-    position-space factors of substeps s0 .. s1-1 in order: the opening
-    half kick of substep s0, the fused kicks exp(-i (dt_{j-1} V_{j-1} +
-    dt_j V_j)/2) between substeps, and the closing half kick of substep
-    s1-1.
+    stage j % m.  ``kick(j)`` returns the half kick exp(-i dt V/2) of
+    substep j, an array that broadcasts against ``psi``; a static potential
+    passes ``lambda j: half``.
 
     The run is cut into segments of ``every`` substeps (one segment when
-    0); inside a segment the half kicks that meet are applied as one.
-    ``observe(s, psi)`` is called after each substep s that is a multiple of
-    ``every`` (of ``n_steps`` when ``every`` is 0).
+    0).  A segment opens and closes with a half kick, and between substeps
+    j-1 and j inside it applies kick(j-1) * kick(j); ``kick`` is called once
+    per substep.  ``observe(s, psi)`` is called after each substep s that is
+    a multiple of ``every`` (of ``n_steps`` when ``every`` is 0).
     """
-    if not callable(kicks):
-        kicks = _static_kicks(kicks)
     k2 = [(2 * np.pi * np.fft.fftfreq(n, d=dx)) ** 2 for n in psi.shape[1:]]
     expK = np.exp(-0.5j * dt * sum(np.meshgrid(*k2, indexing="ij", sparse=True)))
     # substep j takes the kinetic factor of stage j % m
@@ -183,11 +172,16 @@ def _split_step(psi, kicks, dt, dx, n_steps, every=0, observe=None):
     seg = every or max(n_steps, 1)
     for s0 in range(0, n_steps, seg):
         s1 = min(s0 + seg, n_steps)
-        factors = iter(kicks(s0, s1))
-        psi *= next(factors)
-        for kick, expK in zip(factors, kinetic):
-            np.multiply(forward(psi, out=psi), expK, out=psi)
-            np.multiply(inverse(psi, out=psi), kick, out=psi)
+        half = kick(s0)
+        psi *= half
+        for j in range(s0 + 1, s1 + 1):
+            np.multiply(forward(psi, out=psi), next(kinetic), out=psi)
+            fused = half
+            if j < s1:
+                half = kick(j)
+                fused = fused * half
+            # keep the returned array: ifft2(a, out=a) returns a new one and leaves a holding neither transform
+            np.multiply(inverse(psi, out=psi), fused, out=psi)
         if observe is not None and s1 % seg == 0:
             observe(s1, psi)
 
@@ -631,7 +625,8 @@ def propagate_ab(
         amp[:, s // every] = (np.vdot(psi0, psi) * dx * dx, np.vdot(ref, psi) * dx * dx)
 
     stack = np.stack([psi0, psi0])
-    _split_step(stack, np.exp(-0.5j * dt * np.stack([V, V0])), dt, dx, n_steps, every=every, observe=observe)
+    half = np.exp(-0.5j * dt * np.stack([V, V0]))
+    _split_step(stack, lambda j: half, dt, dx, n_steps, every=every, observe=observe)
 
     nrm = float(np.sum(np.abs(stack[0]) ** 2) * dx * dx)
     if not abs(nrm - 1.0) <= 1e-6:
@@ -648,22 +643,24 @@ def propagate_ab(
     )
 
 
-def _release_amplitudes(nu0, x0, N, L, steps_per_period, n_steps):
-    """Times and amplitudes <psi(0)|psi(t)> at every step for the ground
-    state of a well of frequency nu0 centred at x0, released into the merged
-    well V = x^2/2 (oscillator units, period 2 pi)."""
-    dt = 2 * np.pi / steps_per_period
+def _release_amplitudes(nu0, x0, N, L, steps):
+    """Times and amplitudes <psi(0)|psi(t)> at each of ``steps`` steps over
+    one period for the ground state of a well of frequency nu0 centred at
+    x0, released into the merged well V = x^2/2 (oscillator units, period
+    2 pi)."""
+    dt = 2 * np.pi / steps
     grid = TwoParticleGrid(L=L, N=N, dt=dt)
     x = grid.x
     psi0 = (nu0 / np.pi) ** 0.25 * np.exp(-0.5 * nu0 * (x - x0) ** 2)
     psi0 = psi0.astype(complex) / np.sqrt(np.sum(np.abs(psi0) ** 2) * grid.dx)
-    amps = np.ones(n_steps + 1, dtype=complex)
+    amps = np.ones(steps + 1, dtype=complex)
 
     def observe(s, stack):
         amps[s] = np.vdot(psi0, stack[0]) * grid.dx
 
-    _split_step(psi0[None].copy(), np.exp(-0.25j * dt * x**2), dt, grid.dx, n_steps, every=1, observe=observe)
-    return np.arange(n_steps + 1) * dt, amps
+    half = np.exp(-0.25j * dt * x**2)
+    _split_step(psi0[None].copy(), lambda j: half, dt, grid.dx, steps, every=1, observe=observe)
+    return np.arange(steps + 1) * dt, amps
 
 
 @dataclass(frozen=True)

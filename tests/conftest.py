@@ -17,5 +17,5 @@ def bb_series(ref_cfg):
 @pytest.fixture(scope="session")
 def accept_ctx(ref_cfg, bb_series):
     ctx = cli.AcceptContext(seed=0)
-    ctx._cache.update({"cfg": ref_cfg, "bb": bb_series})
+    ctx.__dict__.update(cfg=ref_cfg, bb_series=bb_series)  # seeds the cached properties
     return ctx

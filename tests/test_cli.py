@@ -131,6 +131,18 @@ def test_gate_switching_summary_reports_solver(tmp_path):
     assert 0 <= summary["precheck_delta"] <= 1e-3
 
 
+def test_gate_switching_csv_respects_max_csv_rows(tmp_path):
+    # 221 samples: a floor stride of 1 wrote all of them for a cap of 150;
+    # the ceiling stride 2 writes every other one
+    cfgp = tmp_path / "c.cfg"
+    cfgp.write_text("n_periods=1\ngrid_n=2048\nsteps_per_period=200\nmax_csv_rows=150\n")
+    assert cli.main(["gate-switching", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 0
+    lines = (tmp_path / "o" / "switching_timeseries.csv").read_text().splitlines()
+    t = [float(line.split(",")[0]) for line in lines[1:]]
+    assert len(t) == 111
+    assert t == pytest.approx(np.arange(0, 221, 2) * 2 * np.pi / 200, abs=1e-12)
+
+
 def test_accept_subset_and_fault_injection(tmp_path):
     cfgp = tmp_path / "ok.cfg"
     cfgp.write_text("only=perturbative-oracle,syndrome-table\n")

@@ -77,12 +77,13 @@ def test_ragged_transport_stack_matches_one_row_runs():
         assert np.max(np.abs(state - alone)) <= 1e-12
         assert abs(overlap - expected_overlap) <= 1e-12
         assert abs(overlap - cli.transport_grid_overlap(traj)) <= 1e-12
+    assert cli.transport_grid_overlaps([]) == []
 
 
 @pytest.mark.parametrize("every", [0, 7])
 def test_moving_well_kicks_match_naive_loop(every):
-    # the fused kicks reproduce the state itself, whether the run is one
-    # segment or is cut for observation between the stages of a step
+    # kicks drawn by substep index reproduce the state itself, whether the
+    # run is one segment or is cut for observation between the stages of a step
     traj = traps.sine_squared_path(2.0, 2.0, 0.5)
     expected, _ = _transport_reference(traj)
     N, L, tau = 256, 36.0, traj.tau
@@ -95,11 +96,34 @@ def test_moving_well_kicks_match_naive_loop(every):
     stages = dt * np.reshape(SUZUKI, (-1, 1, 1))
     midpoints = dt * (np.cumsum(SUZUKI) - 0.5 * np.asarray(SUZUKI))
     seen = []
-    kicks = cli._moving_well_kicks(x, stages, lambda j: traj.x(-tau + j // 5 * dt + midpoints[j % 5])[None])
+
+    def kick(j):
+        centre = traj.x(-tau + j // 5 * dt + midpoints[j % 5])
+        return np.exp(-0.25j * stages[j % 5] * (x - centre) ** 2)
+
     n_sub = 5 * n_steps
-    switching._split_step(psi[None], kicks, stages, dx, n_sub, every=every, observe=lambda s, p: seen.append(s))
+    switching._split_step(psi[None], kick, stages, dx, n_sub, every=every, observe=lambda s, p: seen.append(s))
     assert np.max(np.abs(psi - expected)) <= 1e-12
     assert seen == (list(range(every, n_sub + 1, every)) if every else [n_sub])
+
+
+def test_release_amplitudes_match_naive_loop():
+    # the 1D static path with an observation after every step, one segment
+    # per step, so every kick is a half kick
+    N, L, steps, nu0, x0 = 256, 24.0, 400, 2.0, 3 * np.sqrt(2)
+    dt, dx = 2 * np.pi / steps, L / N
+    x = (np.arange(N) - N // 2) * dx
+    k = 2 * np.pi * np.fft.fftfreq(N, d=dx)
+    psi0 = np.exp(-0.5 * nu0 * (x - x0) ** 2).astype(complex)
+    psi0 /= np.sqrt(np.sum(np.abs(psi0) ** 2) * dx)
+    expV, expK = np.exp(-0.25j * dt * x**2), np.exp(-0.5j * dt * k**2)
+    psi, expected = psi0, [1.0 + 0j]
+    for _ in range(steps):
+        psi = _strang(psi, expV, expK)
+        expected.append(np.vdot(psi0, psi) * dx)
+    t, amps = switching._release_amplitudes(nu0, x0, N, L, steps)
+    assert np.array_equal(t, np.arange(steps + 1) * dt)
+    assert np.max(np.abs(amps - np.asarray(expected))) <= 1e-12
 
 
 def test_transport_oracle_is_fourth_order():

@@ -221,7 +221,7 @@ def test_released_gaussian_centred_case_unchanged():
 def test_released_gaussian_matches_grid(N, steps, tol):
     # the split-step grid converges to the closed form as dt^2
     x0 = 3 * np.sqrt(2)
-    t, amps = switching._release_amplitudes(2.0, x0, N, 24.0, steps, steps)
+    t, amps = switching._release_amplitudes(2.0, x0, N, 24.0, steps)
     assert np.max(np.abs(switching.cm_overlap_complex(2.0, 1.0, t, x0) - amps)) <= tol
 
 
