@@ -344,13 +344,12 @@ def _qft_deviations(m: int):
 def _ftcnot_overlaps(exact_sign: bool):
     """(c, t, <c, t^c| ft_cnot |c, t>) between two Shor blocks, for the four
     logical inputs."""
-    cw, block = qc.shor_codewords_standard(), qc.two_block_register
+    cw = qc.shor_codewords_standard()
     rows = []
     for c, t in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        # the output before the expected block: holding the expected block
-        # through ft_cnot takes 30% more page faults on the 2^18 amplitudes
-        out = qc.ft_cnot(block(cw[c], cw[t]), exact_sign=exact_sign)
-        rows.append((c, t, np.vdot(block(cw[c], cw[t ^ c]).state, out.state)))
+        out = qc.ft_cnot(qc.two_block_register(cw[c], cw[t]), exact_sign=exact_sign)
+        # <c|<t^c|out> as cw[c]^H . out (control x target) . conj(cw[t^c])
+        rows.append((c, t, cw[c].conj() @ out.state.reshape(512, 512) @ cw[t ^ c].conj()))
     return rows
 
 

@@ -8,18 +8,18 @@ Ramsey interferometry, the 9-qubit Shor-code memory with its full syndrome
 table, a fault-tolerant CNOT between blocks, Armada parity checks, and the
 sweep constructions (GHZ, QFT).
 
-Gates work on views of the flat state: a single-site gate is one matrix
-product on the state viewed as (left, d, right); pair phases read digits
-from the basis index and, on qubits, count matching pairs by popcount, so
-a lattice shift costs a few passes however many pairs it phases.  User
-states have their norm checked; gate results reuse the geometry unchecked.
+Gates work on views of the flat state: a pulse layer is one matrix product
+(8x8 on qubits) per window of up to three neighbouring sites.  The pairs
+a collision phases are counted per basis index and cached by geometry, so
+a repeated collision costs one table lookup and one multiply; the cache's
+8 count arrays take 1 MiB each (uint8) at MAX_QUBITS qubits.  User states
+have their norm checked; gate results reuse the geometry unchecked.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -155,35 +155,68 @@ def normalized_global_phase(state):
 # -- elementary operations -------------------------------------------------
 
 
-def single_qubit(reg: LatticeRegister, lattice_site: int, gate) -> LatticeRegister:
-    """Apply a 2x2 unitary (by name or matrix) to one occupied site.
+@functools.lru_cache(maxsize=64)
+def _layer_operator(u: tuple, window: tuple, listed: tuple):
+    """Read-only kron over a window of axes (level counts ``window``) of the
+    gate ``u`` on the listed ones, on the {0,1} levels of a 3-level site,
+    and of the identity on the others."""
+    ops = [np.eye(d, dtype=complex) for d in window]
+    for op, on in zip(ops, listed):
+        if on:
+            op[:2, :2] = np.reshape(u, (2, 2))
+    M = functools.reduce(np.kron, ops)
+    M.flags.writeable = False
+    return M
 
-    The state is viewed as (left, d, right) around the site's axis and the
-    gate is one matrix product.  When fewer than 32 amplitudes lie right of
-    the site, a stack of that many tiny products is slow, so the view is
-    (left, d*right) times kron(U^T, 1_right) instead.
+
+def single_qubit(reg: LatticeRegister, lattice_sites, gate) -> LatticeRegister:
+    """Apply a 2x2 unitary (by name or matrix) to one occupied site, or as
+    one pulse layer to each of a list of sites.
+
+    Each window of up to three neighbouring listed axes is one pass: M, the
+    kron of the gate on them and the identity between (8x8 on qubits),
+    times the state viewed as (left, w, right).  Below 64 amplitudes per
+    left index that stack of tiny products is slow, so the view is then
+    (left, w*right) times kron(M^T, 1_right).
     """
     if isinstance(gate, str):
         if gate not in _NAMED_GATES:
             raise ValidationError(f"unknown gate {gate!r}")
-        U = _NAMED_GATES[gate]
-    else:
-        U = np.asarray(gate, dtype=complex)
-    ax = reg.axis_of_site(lattice_site)
-    d = reg.dims[ax]
+        gate = _NAMED_GATES[gate]
+    U = np.asarray(gate, dtype=complex)
     if U.shape != (2, 2):
         raise ValidationError("single_qubit expects a 2x2 gate")
-    if d == 2:
-        Ufull = U
-    else:  # act on the {0,1} subspace of a 3-level site
-        Ufull = np.eye(d, dtype=complex)
-        Ufull[:2, :2] = U
-    right = math.prod(reg.dims[ax + 1 :])
-    if right >= 32:
-        out = Ufull @ reg.state.reshape(-1, d, right)
-    else:
-        out = reg.state.reshape(-1, d * right) @ np.kron(Ufull.T, np.eye(right))
-    return reg._with_state(out.reshape(-1))
+    u = tuple(U.ravel().tolist())
+    axes = sorted(reg.axis_of_site(s) for s in np.atleast_1d(lattice_sites))
+    if len(set(axes)) != len(axes):
+        raise ValidationError(f"a layer pulses each site once, got {lattice_sites!r}")
+    state = reg.state
+    while axes:
+        group = [ax for ax in axes[:3] if ax < axes[0] + 3]
+        axes = axes[len(group) :]
+        window = reg.dims[group[0] : group[-1] + 1]
+        w, right = math.prod(window), math.prod(reg.dims[group[-1] + 1 :])
+        listed = tuple(group[0] + k in group for k in range(len(window)))
+        M = _layer_operator(u, window, listed)
+        if w * right >= 64:
+            state = M @ state.reshape(-1, w, right)
+        else:
+            state = state.reshape(-1, w * right) @ np.kron(M.T, np.eye(right))
+    return reg._with_state(state.reshape(-1) if state is not reg.state else state.copy())
+
+
+@functools.lru_cache(maxsize=8)
+def _pair_counts(dims: tuple, axis_pairs: tuple, cond: tuple) -> np.ndarray:
+    """Per basis index, how many of the (axis_a, axis_b) pairs have digits
+    cond, read-only and uint8 up to 255 pairs: each pair adds the product of
+    its two digit indicators, broadcast along the axes it does not touch."""
+    counts = np.zeros(dims, dtype=np.min_scalar_type(len(axis_pairs)))
+    digit = np.indices(dims, sparse=True)  # digit[ax] varies along axis ax only
+    for ax_a, ax_b in axis_pairs:
+        counts += (digit[ax_a] == cond[0]) & (digit[ax_b] == cond[1])
+    counts = counts.reshape(-1)
+    counts.flags.writeable = False
+    return counts
 
 
 def _pair_phase_condition(reg: LatticeRegister, pairs_phi, cond=(0, 1), sign=-1.0) -> LatticeRegister:
@@ -191,41 +224,19 @@ def _pair_phase_condition(reg: LatticeRegister, pairs_phi, cond=(0, 1), sign=-1.
     exp(sign*i*phi) on basis states with digit(site_a) == cond[0] and
     digit(site_b) == cond[1].
 
-    Digits are read from the basis index, only at the sites the pairs
-    touch.  On a register of qubits, with x and y the index or its
-    complement as cond asks, the pairs that share phi and the bit offset
-    between their sites are counted by one popcount of x & (y shifted by
-    the offset) & (their site_a bits).  The phase is looked up by count in
-    a table of exp(sign*i*phi*k), which for phi = pi is the real sign (-1)^k.
+    The pairs that share phi are counted by the cached ``_pair_counts``;
+    the phase is one lookup by count in a table of exp(sign*i*phi*k), which
+    for phi = pi is the real sign (-1)^k, and one multiply.
     """
-    idx = np.arange(reg.state.size)
-    counts = {}  # phi -> per basis index, the number of pairs it phases
-    if all(d == 2 for d in reg.dims) and set(cond) <= {0, 1}:
-        x, y = (idx if c == 1 else ~idx for c in cond)
-        masks, seen = {}, Counter()
-        for sa, sb, phi in pairs_phi:
-            sh_a, sh_b = (reg.n - 1 - reg.axis_of_site(s) for s in (sa, sb))
-            key = (phi, sh_a - sh_b, seen[phi, sh_a, sh_b])  # a repeated pair goes in another mask
-            seen[phi, sh_a, sh_b] += 1
-            masks[key] = masks.get(key, 0) | 1 << sh_a
-        for (phi, off, _), mask in masks.items():
-            aligned = y << off if off >= 0 else y >> -off
-            c = np.bitwise_count(x & aligned & mask)  # uint8, at most n
-            counts[phi] = counts[phi] + c.astype(np.intp) if phi in counts else c
-    else:
-        strides = [math.prod(reg.dims[ax + 1 :]) for ax in range(reg.n)]
-
-        def digit(site):
-            ax = reg.axis_of_site(site)
-            return (idx // strides[ax]) % reg.dims[ax]
-
-        for sa, sb, phi in pairs_phi:
-            counts[phi] = counts.get(phi, 0) + ((digit(sa) == cond[0]) & (digit(sb) == cond[1]))
-    factor = 1
-    for phi, cnt in counts.items():
-        k = np.arange(cnt.max() + 1)
-        factor = factor * ((-1.0) ** k if phi == np.pi else np.exp(sign * 1j * phi * k))[cnt]
-    return reg._with_state(reg.state * factor)
+    groups = {}  # phi -> the axis pairs it phases
+    for sa, sb, phi in pairs_phi:
+        groups.setdefault(phi, []).append((reg.axis_of_site(sa), reg.axis_of_site(sb)))
+    state = reg.state
+    for phi, axis_pairs in groups.items():
+        counts = _pair_counts(reg.dims, tuple(axis_pairs), tuple(int(c) for c in cond))
+        k = np.arange(len(axis_pairs) + 1)
+        state = state * ((-1.0) ** k if phi == np.pi else np.exp(sign * 1j * phi * k))[counts]
+    return reg._with_state(state if groups else state.copy())
 
 
 # the unconditioned collision phase: (0, 1) pairs
@@ -297,12 +308,9 @@ def ramsey_sequence(reg: LatticeRegister, phi: float) -> LatticeRegister:
     this sign reproduces the (1 + e^{i phi})/2 interference amplitudes of
     the neighboring-pair and triplet output states.
     """
-    for s in reg.sites:
-        reg = single_qubit(reg, s, "H")
+    reg = single_qubit(reg, reg.sites, "H")
     reg = _pair_phase(reg, _shift_pairs(reg, phi, vertical=False), sign=+1.0)
-    for s in reg.sites:
-        reg = single_qubit(reg, s, "H")
-    return reg
+    return single_qubit(reg, reg.sites, "H")
 
 
 def random_fill(shape, eta: float, seed=None):
@@ -372,8 +380,8 @@ def _run_layers(reg: LatticeRegister, layers, lx_phase: float) -> LatticeRegiste
             reg = apply_lx(reg, lx_phase)
         elif gate == "LY":
             reg = apply_ly(reg, np.pi)
-        for s in sites:
-            reg = single_qubit(reg, s, gate)
+        else:
+            reg = single_qubit(reg, sites, gate)
     return reg
 
 
@@ -527,16 +535,11 @@ def ft_cnot(reg: LatticeRegister, exact_sign: bool = True) -> LatticeRegister:
     """
     if reg.shape != (6, 3) or reg.n != 18:
         raise GeometryMismatch("ft_cnot needs two stacked 3x3 blocks (6x3)")
-    for s in range(9):
-        reg = single_qubit(reg, s, "H")
-    pairs = [(s, s + 9, np.pi) for s in range(9)]  # phase when control=1, target=0
+    control = range(9)
+    reg = single_qubit(reg, control, "H")
+    pairs = [(s, s + 9, np.pi) for s in control]  # phase when control=1, target=0
     reg = _pair_phase_condition(reg, pairs, cond=(1, 0))
-    for s in range(9):
-        reg = single_qubit(reg, s, "H")
-    if exact_sign:
-        for s in range(9):
-            reg = single_qubit(reg, s, "X")
-    return reg
+    return single_qubit(reg, control, "R270" if exact_sign else "R90")
 
 
 def armada_parity_check(block_state, kind: str = "spin-flip", seed=None):
@@ -565,8 +568,7 @@ def armada_parity_check(block_state, kind: str = "spin-flip", seed=None):
         # ancilla sites 9..14: rows (9,10), (11,12), (13,14)
         pairs = [(9 + 2 * row + col, 3 * row + col, np.pi) for row in range(3) for col in range(2)]
     else:
-        for s in range(9):
-            reg0 = single_qubit(reg0, s, "H")
+        reg0 = single_qubit(reg0, range(9), "H")
         anc = np.zeros(64)
         anc[0] = anc[63] = 1 / np.sqrt(2)
         # the rotated codewords have deterministic parity only over complete
@@ -574,8 +576,7 @@ def armada_parity_check(block_state, kind: str = "spin-flip", seed=None):
         pairs = [(9 + k, k, np.pi) for k in range(6)]
     reg = LatticeRegister((5, 3), tuple(range(15)), (2,) * 15, np.kron(reg0.state, anc))
     reg = _pair_phase_condition(reg, pairs, cond=(0, 1))
-    for a in range(9, 15):
-        reg = single_qubit(reg, a, "H")
+    reg = single_qubit(reg, range(9, 15), "H")
     out, reg = measure(reg, list(range(9, 15)), rng=rng)
     if kind == "spin-flip":
         parities = tuple((out[9 + 2 * r] + out[10 + 2 * r]) % 2 for r in range(3))
@@ -588,10 +589,7 @@ def armada_parity_check(block_state, kind: str = "spin-flip", seed=None):
     post = t[:, col]
     post = post / np.linalg.norm(post)
     if kind == "phase-flip":
-        pr = reg0._with_state(post)
-        for s in range(9):
-            pr = single_qubit(pr, s, "H")
-        post = pr.state
+        post = single_qubit(reg0._with_state(post), range(9), "H").state
     return parities, post
 
 
@@ -624,8 +622,7 @@ def ghz_from_sweep(N: int):
     if not 1 <= N < MAX_QUBITS:  # refuse before the N phases are listed
         raise ValidationError(f"ghz_from_sweep needs 1 <= N <= {MAX_QUBITS - 1} string atoms, got {N!r}")
     reg = sweep([np.pi] * N)
-    for j in range(1, N + 1):
-        reg = single_qubit(reg, j, "H")
+    reg = single_qubit(reg, range(1, N + 1), "H")
     t = reg.state.reshape(reg.dims)
     out = np.zeros((2,) * (N + 1), dtype=complex)
     out[0] = t[0]
@@ -693,10 +690,12 @@ def run_script(text: str, seed=None):
                 phis = [float(v) for v in parts[1].split(",")]
                 reg = sweep(phis)
             elif cmd == "MEASURE":
+                if len(parts) < 2:
+                    raise ValidationError(f"script line {ln}: MEASURE needs a site")
                 out, reg = measure(reg, [int(v) for v in parts[1:]], rng=rng)
                 outcomes.append(out)
             else:
                 raise ValidationError(f"unknown command {cmd!r}")
-        except (TypeError, AttributeError) as e:
+        except (TypeError, AttributeError, IndexError, ValueError) as e:
             raise ValidationError(f"script line {ln}: {e}") from e
     return {"register": reg, "measurements": outcomes}

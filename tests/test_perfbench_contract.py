@@ -89,6 +89,22 @@ def test_tracer_reads_qc_gates(bench_modules):
             parent = by_id[parent]["parent"]
 
 
+def test_tracer_sees_ft_cnot_as_two_layers_and_one_collision(bench_modules):
+    # each pulse layer is one ``single_qubit`` call, so the gate metrics
+    # count layers, not sites
+    layers, spans = bench_modules
+    s0, s1 = qc.shor_codewords_standard()
+    tracer = spans.Tracer("t")
+    restore = layers.install(tracer)
+    try:
+        qc.ft_cnot(qc.two_block_register(s0, s1))
+    finally:
+        restore()
+    names = [sp["name"] for sp in tracer.records()]
+    assert names.count("qc.single_qubit") == 2
+    assert names.count("qc._pair_phase_condition") == 1
+
+
 def test_tracer_reads_transport_oracle(bench_modules):
     # the transport probe reads ``traj`` and ``dt`` of the one-row oracle;
     # the stacked ``transport_grid_overlaps`` it wraps is not traced

@@ -1,4 +1,5 @@
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -159,7 +160,10 @@ def _engine_programs(draw):
         st.tuples(digit, digit),
         st.sampled_from([-1.0, 1.0]),
     )
-    ops = draw(st.lists(st.one_of(st.tuples(st.just("gate"), site, gate), st.tuples(st.just("phase"), phase_op)), min_size=1, max_size=5))
+    layer = st.tuples(st.just("layer"), st.lists(site, unique=True), gate)  # any subset: gaps and 3-level sites
+    ops = draw(st.lists(st.one_of(st.tuples(st.just("gate"), site, gate), layer, st.tuples(st.just("phase"), phase_op)), min_size=1, max_size=5))
+    # each phase op runs twice, the second time from the cached pair counts
+    ops = [o for op in ops for o in ((op, op) if op[0] == "phase" else (op,))]
     return n_lattice, sites, dims, draw(st.integers(0, 2**32 - 1)), ops
 
 
@@ -186,14 +190,40 @@ def test_engine_matches_dense_operators(program):
             reg = qc.single_qubit(reg, site, gate if isinstance(gate, str) else U)
             assert np.max(np.abs(reg.state - expect)) <= 1e-12
             ref = _dense_single_qubit(dims, reg.axis_of_site(site), U) @ ref
+        elif op[0] == "layer":
+            _, layer_sites, gate = op
+            U = qc._NAMED_GATES[gate] if isinstance(gate, str) else _random_unitary(gate)
+            reg = qc.single_qubit(reg, layer_sites, gate if isinstance(gate, str) else U)
+            for site in layer_sites:
+                ref = _dense_single_qubit(dims, reg.axis_of_site(site), U) @ ref
         else:
             pairs, cond, sign = op[1]
             reg = qc._pair_phase_condition(reg, pairs, cond=cond, sign=sign)
             axis_pairs = [(reg.axis_of_site(a), reg.axis_of_site(b), phi) for a, b, phi in pairs]
             ref = _dense_pair_phase(dims, axis_pairs, cond, sign) @ ref
+            for phi in {phi for _, _, phi in pairs}:
+                counts = qc._pair_counts(dims, tuple((a, b) for a, b, p in axis_pairs if p == phi), cond)
+                assert counts.dtype == np.uint8 and not counts.flags.writeable
         assert np.max(np.abs(reg.state - ref)) <= 1e-12
         assert reg.state is not before and np.array_equal(before, saved)  # a new state; the input is untouched
         assert reg.sites == sites and reg.dims == dims
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 2)])
+def test_pair_counts_past_255_pairs_do_not_wrap(dims):
+    reg = qc.LatticeRegister((2,), (0, 1), dims, np.full(math.prod(dims), math.prod(dims) ** -0.5))
+    pairs = [(0, 1, 0.01)] * 256
+    out = qc._pair_phase_condition(reg, pairs)
+    ref = _dense_pair_phase(dims, pairs, (0, 1), -1.0) @ reg.state
+    assert np.max(np.abs(out.state - ref)) <= 1e-12
+    counts = qc._pair_counts(dims, ((0, 1),) * 256, (0, 1))
+    assert counts.max() == 256 and counts.dtype == np.uint16 and not counts.flags.writeable
+
+
+def test_layer_pulses_each_site_once():
+    reg = qc.LatticeRegister.basis((3,), [0, 0, 0])
+    with pytest.raises(ValidationError):
+        qc.single_qubit(reg, [0, 2, 0], "H")
 
 
 def test_pair_phase_is_the_01_condition():
@@ -359,6 +389,27 @@ def test_ft_cnot_entangles_superposition():
         qc.ft_cnot(qc.LatticeRegister.basis((3, 3), [0] * 9))
 
 
+def _ft_cnot_by_site(reg, exact_sign):
+    """ft_cnot as one pulse per site: 9 H, the control-1 target-0 pi phase,
+    9 H and, for the exact sign, 9 X."""
+    for s in range(9):
+        reg = qc.single_qubit(reg, s, "H")
+    reg = qc._pair_phase_condition(reg, [(s, s + 9, np.pi) for s in range(9)], cond=(1, 0))
+    for gate in ("H", "X") if exact_sign else ("H",):
+        for s in range(9):
+            reg = qc.single_qubit(reg, s, gate)
+    return reg
+
+
+@pytest.mark.parametrize("exact_sign", [True, False])
+def test_ft_cnot_layers_match_the_per_site_sequence(exact_sign):
+    rng = np.random.default_rng(7)
+    psi = rng.normal(size=2**18) + 1j * rng.normal(size=2**18)
+    reg = qc.LatticeRegister((6, 3), tuple(range(18)), (2,) * 18, psi / np.linalg.norm(psi))
+    out = qc.ft_cnot(reg, exact_sign=exact_sign)
+    assert np.max(np.abs(out.state - _ft_cnot_by_site(reg, exact_sign).state)) <= 1e-12
+
+
 def test_armada_spin_flip_detection():
     s0, s1 = qc.shor_codewords_standard()
     enc = 0.6 * s0 + 0.8j * s1
@@ -443,3 +494,19 @@ def test_run_script_end_to_end():
         qc.run_script("FROB 1")
     with pytest.raises(ValidationError):
         qc.run_script("INIT 3 01")
+
+
+@pytest.mark.parametrize(
+    "script",
+    [
+        "INIT 2 00\nH",  # no site
+        "INIT 2 00\nSWEEP",  # no phases
+        "INIT 2 00\nLX abc",  # not a number
+        "INIT 2x 00",  # no column count
+        "INIT 2 0a",  # not a digit
+        "INIT 2 00\nMEASURE",  # no site to measure
+    ],
+)
+def test_run_script_names_the_malformed_line(script):
+    with pytest.raises(ValidationError, match=f"script line {script.count(chr(10)) + 1}"):
+        qc.run_script(script)
