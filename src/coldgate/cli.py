@@ -128,13 +128,6 @@ def _resolve(defaults: dict, bounds: dict, overrides: dict) -> dict:
 # -- shared helpers --------------------------------------------------------
 
 
-# Suzuki's fourth-order composition of a symmetric step, S(p h) S(p h)
-# S((1 - 4p) h) S(p h) S(p h) with p = 1/(4 - 4^(1/3)) (Phys. Lett. A 146,
-# 319 (1990)), and the midpoint of each stage as a fraction of h
-_SUZUKI = np.array([1, 1, -(4 ** (1 / 3)), 1, 1]) / (4 - 4 ** (1 / 3))
-_SUZUKI_MIDPOINTS = np.cumsum(_SUZUKI) - _SUZUKI / 2
-
-
 def _transport_grid_states(trajs, N: int = 256, L: float = 36.0, dt: float = 0.1):
     """Grid x and the split-step states at t = tau of the transport oracle,
     one row per trajectory in the order given.
@@ -157,13 +150,13 @@ def _transport_grid_states(trajs, N: int = 256, L: float = 36.0, dt: float = 0.1
     taus, n_steps = taus[order], n_steps[order]
     paths = [trajs[i].x for i in order]
     dts = (2 * taus / n_steps)[:, None]
-    stages = _SUZUKI[:, None, None] * dts
-    m = len(_SUZUKI)
+    stages = switching._SUZUKI[:, None, None] * dts
+    m = len(switching._SUZUKI)
     starts = np.array([float(np.asarray(path(-tau))) for path, tau in zip(paths, taus)])
     psi = np.pi ** (-0.25) * np.exp(-0.5 * (x - starts[:, None]) ** 2)
     psi = psi.astype(complex) / np.sqrt(np.sum(np.abs(psi) ** 2, axis=1, keepdims=True) * dx)
     j = np.arange(m * n_steps.max(initial=0))
-    t = -taus[:, None] + (j // m + _SUZUKI_MIDPOINTS[j % m]) * dts
+    t = -taus[:, None] + (j // m + switching._SUZUKI_MIDPOINTS[j % m]) * dts
     centres = np.reshape([path(row) for path, row in zip(paths, t)], t.shape + (1,))
     quarter = 0.25 * stages
 
@@ -407,7 +400,7 @@ def _c_switching_revival(ctx: AcceptContext):
 
 def _c_cm_analytic(ctx: AcceptContext):
     nu0 = ctx.cfg.omega0 / ctx.cfg.omega
-    steps = 2000
+    steps = 100
     t, amps = switching._release_amplitudes(nu0, 0.0, 1024, 24.0, steps)
     sel = np.linspace(0, steps, 100).astype(int)
     grid_sq = np.abs(amps[sel]) ** 2

@@ -659,21 +659,23 @@ def sweep_qft(source_bits):
 
 
 def run_script(text: str, seed=None):
-    """Execute a line-oriented circuit script.
-
-    Commands: INIT <n|RxC> <bits>; H j; X j; Z j; LX phi; LY phi;
-    SWEEP phi1,phi2,...; MEASURE j [j ...].  '#' starts a comment.
-    Returns dict with the final register and measurement outcomes.
-    """
+    """Execute a line-oriented circuit script: INIT <n|RxC> <bits>; H j; X j;
+    Z j; LX phi; LY phi; SWEEP phi1,phi2,...; MEASURE j [j ...], one command a
+    line ('#' starts a comment).  A malformed line, one with an argument too
+    many among them, raises ``ValidationError`` naming it.  Returns dict with
+    the final register and measurement outcomes."""
     rng = np.random.default_rng(seed)
     reg = None
     outcomes = []
+    most = {"INIT": 2, "H": 1, "X": 1, "Z": 1, "LX": 1, "LY": 1, "SWEEP": 1}  # arguments; MEASURE takes any number
     for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split()
         cmd = parts[0].upper()
+        if len(parts) - 1 > most.get(cmd, len(parts)):
+            raise ValidationError(f"script line {ln}: {cmd} takes {most[cmd]} argument(s), got {len(parts) - 1}")
         try:
             if cmd == "INIT":
                 geom = parts[1]
@@ -695,7 +697,7 @@ def run_script(text: str, seed=None):
                 out, reg = measure(reg, [int(v) for v in parts[1:]], rng=rng)
                 outcomes.append(out)
             else:
-                raise ValidationError(f"unknown command {cmd!r}")
+                raise ValidationError(f"script line {ln}: unknown command {cmd!r}")
         except (TypeError, AttributeError, IndexError, ValueError) as e:
             raise ValidationError(f"script line {ln}: {e}") from e
     return {"register": reg, "measurements": outcomes}

@@ -17,13 +17,10 @@ The other grid propagations, ``propagate_ab``, ``_release_amplitudes`` and
 the transport oracle of ``cli``, run through one split-step kernel,
 ``_split_step``, which is also the test oracle of the spectral (b,b) series.
 It advances a stacked batch of wavefunctions, shape (k, N) or (k, N, N), in
-place with one ``numpy.fft`` transform pair per step for the whole batch.
-The transport oracle runs all its trajectories as one stack, each member
-with its own time step, dropping a member when its run ends; it composes
-the Strang step to fourth order, so the kernel cycles through the kinetic
-factors of the composition's stages.  The caller supplies the half kick of
-each substep by its index; between observations the kernel applies the two
-half kicks that meet between substeps as one product.
+place with one ``numpy.fft`` transform pair per substep for the whole batch.
+The release and the transport oracle compose the Strang step to fourth
+order (``_SUZUKI``), so the kernel cycles through the kinetic factors of the
+composition's stages, and the caller supplies each substep's half kick.
 """
 from __future__ import annotations
 
@@ -144,6 +141,12 @@ class TwoParticleGrid:
         return (np.arange(self.N) - self.N // 2) * self.dx
 
 
+# Suzuki's fourth-order composition S(p h) S(p h) S((1 - 4p) h) S(p h) S(p h) of a symmetric
+# step, p = 1/(4 - 4^(1/3)) (Phys. Lett. A 146, 319 (1990)), and each stage's midpoint over h
+_SUZUKI = np.array([1, 1, -(4 ** (1 / 3)), 1, 1]) / (4 - 4 ** (1 / 3))
+_SUZUKI_MIDPOINTS = np.cumsum(_SUZUKI) - _SUZUKI / 2
+
+
 def _split_step(psi, kick, dt, dx, n_steps, every=0, observe=None):
     """Advance the stacked batch ``psi``, of shape (k, N) or (k, N, N), in
     place by ``n_steps`` Strang substeps exp(-i dt V/2) exp(-i dt T) exp(-i dt V/2)
@@ -246,7 +249,7 @@ RESIDUAL_TOL = 1e-11  # residual bound, relative to k_max^2/2 + max V
 GRAM_DROP = 1e-12  # Gram eigenvalue below which a new direction is dropped
 MAX_ITERATIONS = 100
 SERIES_CHUNK = 1024  # samples per chunk of the amplitude series
-NEWTON_STEPS = 4  # from a sampled maximum: at 4000 samples per period 2 already land within 1e-13
+NEWTON_STEPS = 4  # from a sampled maximum 0.03 off at 100 samples per period, 3 land within 1e-14
 
 
 class _EvenSector:
@@ -480,7 +483,7 @@ def propagate(
     n_periods: int = 7,
     N: int = 4096,
     L: float = 32.0,
-    steps_per_period: int = 4000,
+    steps_per_period: int = 100,
     sigma_reg: float = 0.0176,
     check_convergence: bool = True,
 ) -> SwitchTimeSeries:
@@ -497,7 +500,8 @@ def propagate(
     |<psi0|psi(t)>|^2 found by Newton's method from the sampled one; a fit
     through them gives the revival period shift deltaT, and tau =
     n_periods (T + deltaT).  So ``steps_per_period`` sets only the written
-    samples and the 2 pi branch of ``phase_at``.
+    samples, the start of each Newton search and the 2 pi branch of
+    ``phase_at``; the default 100 gives the reads of 4000 to within 1e-13.
 
     ``NormLoss`` is raised when the initial state has weight above 1e-6
     outside either basis.  With ``check_convergence`` the phase after one
@@ -523,8 +527,7 @@ def propagate(
     dt = period / steps_per_period
     grid = TwoParticleGrid(L=L, N=N, dt=dt)
 
-    mu = cfg.mass / 2.0
-    a_r = np.sqrt(HBAR / (mu * cfg.omega))
+    a_r = np.sqrt(HBAR / (cfg.mass / 2.0 * cfg.omega))
     g_tilde = cfg.g1d("bb") / (HBAR * cfg.omega * a_r)
     spec = _bb_spectrum(cfg, grid, g_tilde, sigma_reg)
 
@@ -645,9 +648,10 @@ def propagate_ab(
 
 def _release_amplitudes(nu0, x0, N, L, steps):
     """Times and amplitudes <psi(0)|psi(t)> at each of ``steps`` steps over
-    one period for the ground state of a well of frequency nu0 centred at
-    x0, released into the merged well V = x^2/2 (oscillator units, period
-    2 pi)."""
+    one period for the ground state of a well of frequency nu0 centred at x0,
+    released into the merged well V = x^2/2 (oscillator units, period 2 pi).
+    A step is the fourth-order ``_SUZUKI`` composition of five Strang
+    substeps, run as the stage axis of ``_split_step``'s ``dt``."""
     dt = 2 * np.pi / steps
     grid = TwoParticleGrid(L=L, N=N, dt=dt)
     x = grid.x
@@ -656,10 +660,11 @@ def _release_amplitudes(nu0, x0, N, L, steps):
     amps = np.ones(steps + 1, dtype=complex)
 
     def observe(s, stack):
-        amps[s] = np.vdot(psi0, stack[0]) * grid.dx
+        amps[s // 5] = np.vdot(psi0, stack[0]) * grid.dx
 
-    half = np.exp(-0.25j * dt * x**2)
-    _split_step(psi0[None].copy(), lambda j: half, dt, grid.dx, steps, every=1, observe=observe)
+    stages = dt * _SUZUKI[:, None, None]
+    halves = np.exp(-0.25j * stages[:, 0] * x**2)
+    _split_step(psi0[None].copy(), lambda j: halves[j % 5], stages, grid.dx, 5 * steps, every=5, observe=observe)
     return np.arange(steps + 1) * dt, amps
 
 

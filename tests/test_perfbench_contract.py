@@ -5,6 +5,7 @@ renamed or deleted, ``install`` raises and the traced benchmark run dies
 before its first step.
 """
 
+import json
 import math
 import os
 
@@ -137,3 +138,16 @@ def test_tracer_reads_bb_propagation(bench_modules, ref_cfg):
     (pre,) = [sp for sp in records if sp["name"] == "switching.precheck"]
     assert top["attrs"] == {"point_steps": 2048 * 220 * 2}
     assert pre["attrs"] == {"point_steps": 4096 * 200 * 2}
+
+
+def test_switching_reference_keys_are_returned(accept_ctx):
+    # the benchmark counts a reference key that a criterion no longer
+    # returns as a failed operation
+    with open(os.path.join(PERFBENCH, "reference", "switching-gate.json")) as fh:
+        operations = json.load(fh)["operations"]
+    criteria = dict(cli.CRITERIA)
+    assert sorted(operations) == ["accept.cm-analytic", "accept.switching-fidelity", "accept.switching-phase", "accept.switching-revival"]
+    for op, ref in operations.items():
+        passed, details = criteria[op.removeprefix("accept.")](accept_ctx)
+        keys = [k.removeprefix("details.") for k in (*ref["values"], *ref["present"]) if k.startswith("details.")]
+        assert bool(passed) and keys and set(keys) <= set(details)

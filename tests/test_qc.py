@@ -505,6 +505,14 @@ def test_run_script_end_to_end():
         "INIT 2x 00",  # no column count
         "INIT 2 0a",  # not a digit
         "INIT 2 00\nMEASURE",  # no site to measure
+        "INIT 2 00 1",  # a third argument
+        "INIT 2 00\nH 0 1",  # one site per line
+        "INIT 2 00\nX 0 1",
+        "INIT 2 00\nZ 1 0",
+        "INIT 2 00\nLX 1 2",  # one phase
+        "INIT 2 00\nLY 1 2",
+        "INIT 2 00\nSWEEP 1,2 3",  # one comma-separated list
+        "INIT 2 00\nFROB 1",  # no such command
     ],
 )
 def test_run_script_names_the_malformed_line(script):

@@ -1,12 +1,12 @@
 """The stacked split-step kernel against naive per-step Strang loops.
 
 Each reference below advances one wavefunction at a time with
-exp(-i dt V/2) exp(-i dt k^2/2) exp(-i dt V/2) and numpy's FFT, recomputing
-the kick at every step; the transport reference composes these steps as
-the oracle does.  The kernel fuses kicks, stacks states and transforms
-in place, so it agrees only to rounding.  The (b,b) channel is evolved
-exactly in time in the grid Hamiltonian's eigenbasis, so there the naive
-loop must converge to it as dt^2.
+exp(-i dt V/2) exp(-i dt k^2/2) exp(-i dt V/2) and numpy's FFT; the
+transport and release references compose these steps as their fourth-order
+kernels do.  The kernel fuses kicks, stacks states and transforms in place,
+so it agrees only to rounding.  The (b,b) channel is evolved exactly in
+time in the grid Hamiltonian's eigenbasis, so there the naive loop must
+converge to it as dt^2.
 """
 
 import tracemalloc
@@ -108,22 +108,33 @@ def test_moving_well_kicks_match_naive_loop(every):
 
 
 def test_release_amplitudes_match_naive_loop():
-    # the 1D static path with an observation after every step, one segment
-    # per step, so every kick is a half kick
+    # the 1D static path with an observation after every composed step
     N, L, steps, nu0, x0 = 256, 24.0, 400, 2.0, 3 * np.sqrt(2)
     dt, dx = 2 * np.pi / steps, L / N
     x = (np.arange(N) - N // 2) * dx
     k = 2 * np.pi * np.fft.fftfreq(N, d=dx)
     psi0 = np.exp(-0.5 * nu0 * (x - x0) ** 2).astype(complex)
     psi0 /= np.sqrt(np.sum(np.abs(psi0) ** 2) * dx)
-    expV, expK = np.exp(-0.25j * dt * x**2), np.exp(-0.5j * dt * k**2)
     psi, expected = psi0, [1.0 + 0j]
     for _ in range(steps):
-        psi = _strang(psi, expV, expK)
+        for c in SUZUKI:
+            h = c * dt
+            psi = _strang(psi, np.exp(-0.25j * h * x**2), np.exp(-0.5j * h * k**2))
         expected.append(np.vdot(psi0, psi) * dx)
     t, amps = switching._release_amplitudes(nu0, x0, N, L, steps)
     assert np.array_equal(t, np.arange(steps + 1) * dt)
     assert np.max(np.abs(amps - np.asarray(expected))) <= 1e-12
+
+
+def test_release_amplitudes_are_fourth_order():
+    # on the offset release, halving the step cuts the deviation from the
+    # closed form about 16-fold
+    x0 = 3 * np.sqrt(2)
+    devs = []
+    for steps in (100, 200, 400):
+        t, amps = switching._release_amplitudes(2.0, x0, 256, 24.0, steps)
+        devs.append(np.max(np.abs(amps - switching.cm_overlap_complex(2.0, 1.0, t, x0))))
+    assert devs[0] >= 12 * devs[1] and devs[1] >= 12 * devs[2]
 
 
 def test_transport_oracle_is_fourth_order():

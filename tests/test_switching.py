@@ -166,21 +166,23 @@ def test_series_interpolators(bb_series):
     assert abs(amp) ** 2 == pytest.approx(bb_series.revival, abs=5e-4)
 
 
-def test_series_reads_are_exact_between_samples(ref_cfg, bb_series):
-    # halfway between samples, around each revival and the gate time, where
-    # a linear read of the amplitude sagged |a|^2 by up to 2e-4
+def test_series_reads_are_exact_between_samples(ref_cfg, bb_series, bb_series_dense):
+    # halfway between the samples of 4000 a period, around each revival and
+    # the gate time, where a linear read of the amplitude sagged |a|^2 by up
+    # to 2e-4; the reads are those of the default, sparser series
     mu = ref_cfg.mass / 2
     g = ref_cfg.g1d("bb") / (traps.HBAR * ref_cfg.omega * np.sqrt(traps.HBAR / (mu * ref_cfg.omega)))
     spec = switching._bb_spectrum(ref_cfg, switching.TwoParticleGrid(L=32.0, N=4096, dt=1.0), g, 0.0176)
-    dt = bb_series.t[1]
+    dense = bb_series_dense
+    dt = dense.t[1]
     near = np.concatenate([bb_series.revival_times, [bb_series.tau]])
     t = (np.round(near / dt)[:, None] + np.arange(-20, 20) + 0.5).ravel() * dt
     a_init, a_ref = spec.amplitudes(t)
     assert np.max(np.abs([bb_series.amp_init_at(s) for s in t] - a_init)) <= 1e-12
     phase = np.array([bb_series.phase_at(s) for s in t])
     assert np.max(np.abs(np.exp(-1j * phase) - a_ref / np.abs(a_ref))) <= 1e-12
-    # on the branch of the neighbouring samples
-    assert np.max(np.abs(phase - np.interp(t, bb_series.t, bb_series.phase))) <= 1e-3
+    # on the branch of the neighbouring dense samples
+    assert np.max(np.abs(phase - np.interp(t, dense.t, dense.phase))) <= 1e-3
 
 
 def test_revival_peaks_are_dense_scan_maxima(bb_series):
@@ -200,6 +202,22 @@ def test_revival_reads_do_not_depend_on_sampling(ref_cfg, bb_series):
     assert got == pytest.approx((bb_series.tau, bb_series.revival, bb_series.phase_final), abs=1e-12)
 
 
+@pytest.mark.parametrize("g_scale", [1.0, -1.0, 0.5], ids=["production", "negated", "halved"])
+def test_default_sampling_reads_as_dense_sampling(ref_cfg, bb_series, bb_series_dense, g_scale):
+    # the default 100 samples per period give the reads of 4000; -1 is the
+    # accept tamper, and at 0.5 the 2 pi branch of phase_at is exercised
+    cfg = dataclasses.replace(ref_cfg, a_s_bb=ref_cfg.a_s_bb * g_scale)
+    if g_scale == 1.0:
+        sparse, dense = bb_series, bb_series_dense
+    else:
+        sparse = switching.propagate(cfg, check_convergence=False)
+        dense = switching.propagate(cfg, steps_per_period=4000, check_convergence=False)
+    assert len(sparse.t) == 711 and len(dense.t) == 28401
+    for name in ("phase_final", "revival", "deltaT"):
+        assert abs(getattr(sparse, name) - getattr(dense, name)) <= 1e-12
+    assert np.max(np.abs(sparse.revival_times - dense.revival_times)) <= 1e-12
+
+
 def _centred_overlap(omega0, omega, t):
     """The x0 = 0 closed form as written before the well offset was added."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -217,9 +235,9 @@ def test_released_gaussian_centred_case_unchanged():
         assert switching.cm_overlap_complex(nu, 1.0, 1.3, 0.0) == _centred_overlap(nu, 1.0, 1.3)
 
 
-@pytest.mark.parametrize("N, steps, tol", [(1024, 2000, 5e-5), (2048, 8000, 3e-6)])
+@pytest.mark.parametrize("N, steps, tol", [(1024, 200, 1e-7), (2048, 400, 1e-8)])
 def test_released_gaussian_matches_grid(N, steps, tol):
-    # the split-step grid converges to the closed form as dt^2
+    # the fourth-order split-step grid converges to the closed form as dt^4
     x0 = 3 * np.sqrt(2)
     t, amps = switching._release_amplitudes(2.0, x0, N, 24.0, steps)
     assert np.max(np.abs(switching.cm_overlap_complex(2.0, 1.0, t, x0) - amps)) <= tol
