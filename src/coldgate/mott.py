@@ -6,7 +6,7 @@ ground state follows from red-black (colour-class) sweeps of single-site
 diagonalizations, with the neighbour order parameters as a self-consistent
 hopping field.  The sites of one colour class share no neighbour, so each
 class is diagonalized at once by one batched ``eigh``.  The sweeps run from
-two deterministic starts, the atomic limit and ``_superfluid_start``.
+the atomic limit, then from ``_superfluid_start`` unless ``_mott_certified``.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from .errors import NotConverged, ValidationError
 
 TOL_F = 1e-8  # sweep convergence: largest amplitude change
 TOL_E = 1e-10  # and largest local ground-energy change, relative to |J| (or U)
+CERT_STEPS = 50  # power steps of the Mott certificate before both starts run
 
 
 def superlattice(x, y, amplitude: float, period: float):
@@ -68,19 +69,6 @@ class BoseHubbardLattice:
         eps = superlattice(xs, ys, amplitude, period)
         return cls(Lx=Lx, Ly=Ly, J=J, U=U, mu=mu, eps=eps, boundary=boundary)
 
-    def neighbors(self, i: int, j: int):
-        """Neighbours of site (i, j), one per bond direction; on a periodic
-        side of length 1 or 2 a site repeats.  The per-site reference for
-        ``_neighbour_field``, which the solver uses."""
-        out = []
-        for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            ni, nj = i + di, j + dj
-            if self.boundary == "periodic":
-                out.append((ni % self.Lx, nj % self.Ly))
-            elif 0 <= ni < self.Lx and 0 <= nj < self.Ly:
-                out.append((ni, nj))
-        return out
-
 
 @dataclass
 class GutzwillerState:
@@ -128,9 +116,9 @@ class GutzwillerState:
 
 
 def _neighbour_field(phi, periodic: bool):
-    """Sum of ``phi`` over the four neighbours of every site: rolls for
-    periodic boundaries, zero padding for open ones.  The terms are added
-    in the order (i+1, j), (i-1, j), (i, j+1), (i, j-1)."""
+    """Sum of ``phi`` over the four neighbours of every site, in the order
+    (i+1, j), (i-1, j), (i, j+1), (i, j-1) of the tests' ``_neighbors``:
+    rolls for periodic boundaries, zero padding for open ones."""
     if periodic:
         return np.roll(phi, -1, 0) + np.roll(phi, 1, 0) + np.roll(phi, -1, 1) + np.roll(phi, 1, 1)
     p = np.pad(phi, 1)
@@ -161,9 +149,32 @@ def _colour_classes(lat: BoseHubbardLattice):
 
 def _atomic_limit_f(lat: BoseHubbardLattice, n_max: int):
     n = np.arange(n_max + 1)
-    e = 0.5 * lat.U * n * (n - 1) + (lat.eps[:, :, None] - lat.mu) * n
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = 0.5 * lat.U * n * (n - 1) + (lat.eps[:, :, None] - lat.mu) * n
+    if not np.all(np.isfinite(e)):
+        raise OverflowError("an on-site energy U n(n-1)/2 + (eps - mu) n is not finite")
     # argmin takes the lowest n on ties
     return (np.argmin(e, axis=-1)[:, :, None] == n).astype(float)
+
+
+def _mott_certified(lat: BoseHubbardLattice, n_max: int) -> bool:
+    """True only if the atomic limit is linearly stable: all its particle and
+    hole gaps are positive, and the Collatz-Wielandt bound on the largest
+    eigenvalue of |J| X^1/2 A X^1/2 falls below 1 within CERT_STEPS power
+    steps on B = |J| X A + I (the + I: no stall on a bipartite lattice)."""
+    n = np.argmax(_atomic_limit_f(lat, n_max), axis=-1)
+    with np.errstate(all="ignore"):
+        particle = lat.U * n + lat.eps - lat.mu
+        hole = np.where(n > 0, lat.mu - lat.eps - lat.U * (n - 1), np.inf)
+        if np.all(particle > 0) and np.all(hole > 0):
+            chi = (n + 1) / particle + n / hole
+            v = np.ones(n.shape)
+            for _ in range(CERT_STEPS):
+                bv = abs(lat.J) * chi * _neighbour_field(v, lat.boundary == "periodic") + v
+                if np.max(bv / v) - 1 < 1:
+                    return True
+                v = bv / np.max(bv)
+    return False
 
 
 def _sweep_to_convergence(lat, f, n_max, max_sweeps=4000):
@@ -231,8 +242,9 @@ def _superfluid_start(lat: BoseHubbardLattice, n_max: int):
 def gutzwiller_minimize(lattice: BoseHubbardLattice, n_max: int = 6, max_sweeps: int = 4000) -> GutzwillerState:
     """Self-consistent Gutzwiller ground state.
 
-    Two deterministic starts, the atomic limit and ``_superfluid_start``;
-    the lowest-energy converged solution wins, ties broken by lowest total
+    Two deterministic starts, the atomic limit and ``_superfluid_start``
+    (skipped when the first converges and ``_mott_certified`` holds); the
+    lowest-energy converged solution wins, ties broken by lowest total
     particle number, then by the atomic start.  The sweeps descend locally,
     so no set of starts guarantees the global minimum.  Raises NotConverged
     only if no start converges; the best non-converged state is attached to
@@ -242,17 +254,20 @@ def gutzwiller_minimize(lattice: BoseHubbardLattice, n_max: int = 6, max_sweeps:
         raise ValidationError("n_max must be >= 1")
     if max_sweeps < 1:
         raise ValidationError("max_sweeps must be >= 1")
+    if not np.isfinite(4 * n_max * abs(lattice.J)):
+        raise OverflowError("the hopping scale 4 n_max |J| is not finite")
     best = None
-    for f0 in (_atomic_limit_f(lattice, n_max), _superfluid_start(lattice, n_max)):
-        f, sweeps, ok = _sweep_to_convergence(lattice, f0, n_max, max_sweeps=max_sweeps)
+    for start in (_atomic_limit_f, _superfluid_start):
+        f, sweeps, ok = _sweep_to_convergence(lattice, start(lattice, n_max), n_max, max_sweeps=max_sweeps)
         st = GutzwillerState(lattice=lattice, f=f, converged=ok, sweeps=sweeps)
+        if best is None and ok and _mott_certified(lattice, n_max):
+            return st  # the atomic start, certified
         key = (not ok, round(st.energy(), 9), round(st.total_particles, 9))
         if best is None or key < best[0]:
             best = (key, st)
-    state = best[1]
-    if not state.converged:
-        raise NotConverged(f"no Gutzwiller start converged in {max_sweeps} sweeps", state=state)
-    return state
+    if not best[1].converged:
+        raise NotConverged(f"no Gutzwiller start converged in {max_sweeps} sweeps", state=best[1])
+    return best[1]
 
 
 def phase_classify(state: GutzwillerState):

@@ -2,11 +2,15 @@
 reference.
 
 ``_lexicographic_sweep`` visits the sites one at a time in row-major order,
-each with its own ``eigh``, the neighbour field summed over
-``BoseHubbardLattice.neighbors``.  The red-black solver updates a whole
+each with its own ``eigh``, the neighbour field summed over the per-site
+neighbour list ``_neighbors``.  The red-black solver updates a whole
 colour class at once.  It visits the sites in another order, so its
 iterates differ; on uniform lattices they reach the same fixed points.
+The Mott certificate is checked against a dense eigensolve, and the
+solver with it against the two-start reference ``_reference_minimize``.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +19,20 @@ from hypothesis import strategies as hst
 
 from coldgate import mott
 from coldgate.errors import NotConverged, ValidationError
+
+
+def _neighbors(lat, i, j):
+    """Neighbours of site (i, j), one per bond direction; on a periodic side
+    of length 1 or 2 a site repeats.  The per-site reference for
+    ``mott._neighbour_field``."""
+    out = []
+    for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+        ni, nj = i + di, j + dj
+        if lat.boundary == "periodic":
+            out.append((ni % lat.Lx, nj % lat.Ly))
+        elif 0 <= ni < lat.Lx and 0 <= nj < lat.Ly:
+            out.append((ni, nj))
+    return out
 
 
 def _local_hamiltonian(lat, eps_i, field, n_max):
@@ -35,7 +53,7 @@ def _lexicographic_sweep(lat, f, n_max, tol_f=1e-8, tol_e=1e-10, max_sweeps=4000
         max_df = max_de = 0.0
         for i in range(lat.Lx):
             for j in range(lat.Ly):
-                field = sum(phi[ni, nj] for ni, nj in lat.neighbors(i, j))
+                field = sum(phi[ni, nj] for ni, nj in _neighbors(lat, i, j))
                 w, v = np.linalg.eigh(_local_hamiltonian(lat, lat.eps[i, j], field, n_max))
                 g = v[:, 0]
                 k = int(np.argmax(np.abs(g)))
@@ -60,10 +78,11 @@ def _random_start(lat, n_max, seed):
     return f / np.linalg.norm(f, axis=2, keepdims=True)
 
 
-def _reference_minimize(lat, n_max=6):
+def _reference_minimize(lat, n_max=6, sweep=_lexicographic_sweep, max_sweeps=4000):
+    """Both starts, always, and the pick of ``gutzwiller_minimize``."""
     best = None
     for f0 in _starts(lat, n_max):
-        f, sweeps, ok = _lexicographic_sweep(lat, f0, n_max)
+        f, sweeps, ok = sweep(lat, f0, n_max, max_sweeps=max_sweeps)
         st = mott.GutzwillerState(lattice=lat, f=f, converged=ok, sweeps=sweeps)
         key = (not ok, round(st.energy(), 9), round(st.total_particles, 9))
         if best is None or key < best[0]:
@@ -72,7 +91,7 @@ def _reference_minimize(lat, n_max=6):
 
 
 def _neighbour_field_loop(lat, phi):
-    return np.array([[sum(phi[n] for n in lat.neighbors(i, j)) for j in range(lat.Ly)] for i in range(lat.Lx)])
+    return np.array([[sum(phi[n] for n in _neighbors(lat, i, j)) for j in range(lat.Ly)] for i in range(lat.Lx)])
 
 
 def test_superlattice_profile():
@@ -96,10 +115,10 @@ def test_lattice_validation():
 
 def test_neighbors_periodic_vs_open():
     lat = mott.BoseHubbardLattice(Lx=3, Ly=3, J=1.0, U=1.0, mu=1.0, boundary="periodic")
-    assert len(lat.neighbors(0, 0)) == 4
+    assert len(_neighbors(lat, 0, 0)) == 4
     lat_o = mott.BoseHubbardLattice(Lx=3, Ly=3, J=1.0, U=1.0, mu=1.0, boundary="open")
-    assert len(lat_o.neighbors(0, 0)) == 2
-    assert len(lat_o.neighbors(1, 1)) == 4
+    assert len(_neighbors(lat_o, 0, 0)) == 2
+    assert len(_neighbors(lat_o, 1, 1)) == 4
 
 
 def test_uniform_mott_phase():
@@ -171,7 +190,7 @@ def test_colour_classes_separate_neighbours(shape, boundary):
     assert c.shape == shape
     for i in range(lat.Lx):
         for j in range(lat.Ly):
-            for n in lat.neighbors(i, j):
+            for n in _neighbors(lat, i, j):
                 assert n == (i, j) or c[n] != c[i, j]
     odd_ring = boundary == "periodic" and any(L % 2 and L > 1 for L in shape)
     assert set(np.unique(c)) <= ({0, 1, 2} if odd_ring else {0, 1})
@@ -224,7 +243,7 @@ def test_energy_matches_bond_sum(boundary):
     f /= np.linalg.norm(f, axis=2, keepdims=True)
     st = mott.GutzwillerState(lattice=lat, f=f)
     phi = st.order_parameter
-    hop = sum(np.real(np.conj(phi[i, j]) * phi[n]) for i in range(3) for j in range(5) for n in lat.neighbors(i, j))
+    hop = sum(np.real(np.conj(phi[i, j]) * phi[n]) for i in range(3) for j in range(5) for n in _neighbors(lat, i, j))
     n = np.arange(5)
     e = np.sum(np.abs(f) ** 2 * (0.5 * lat.U * n * (n - 1))) + np.sum((lat.eps - lat.mu) * st.density) - lat.J * hop
     assert st.energy() == pytest.approx(e, abs=1e-12)
@@ -364,3 +383,89 @@ def test_starts_not_above_random_starts(lx, ly, boundary, J, negative, U, mu_ove
         f, _, ok = mott._sweep_to_convergence(lat, _random_start(lat, 6, seed), 6)
         if ok:
             assert st.energy() <= mott.GutzwillerState(lattice=lat, f=f).energy() + 1e-9
+
+
+def _default_superlattice(J):
+    return mott.BoseHubbardLattice.with_superlattice(18, 18, J=J, U=30.0, mu=15.0, amplitude=40.0, period=9.0)
+
+
+def _drawn_lattice(lx, ly, boundary, j_over_u, negative, U, mu_over_u, disorder, eps_seed):
+    eps = np.random.default_rng(eps_seed).uniform(0.0, 5.0, (lx, ly)) if disorder else None
+    J = -j_over_u * U if negative else j_over_u * U
+    return mott.BoseHubbardLattice(Lx=lx, Ly=ly, J=J, U=U, mu=mu_over_u * U, eps=eps, boundary=boundary)
+
+
+_LATTICES = dict(
+    lx=hst.integers(1, 5),
+    ly=hst.integers(1, 5),
+    boundary=hst.sampled_from(["periodic", "open"]),
+    j_over_u=hst.floats(0.0, 0.2),
+    negative=hst.booleans(),
+    U=hst.floats(1.0, 10.0),
+    mu_over_u=hst.floats(-0.5, 3.5),
+    disorder=hst.booleans(),
+    eps_seed=hst.integers(0, 2**16),
+)
+
+
+def _dense_lambda_max(lat, n_max):
+    """Largest eigenvalue of |J| X^1/2 A X^1/2, with A built column by column
+    from ``_neighbour_field`` and X from the atomic-limit gaps."""
+    n = np.argmax(mott._atomic_limit_f(lat, n_max), axis=-1).ravel()
+    e = (lat.eps - lat.mu).ravel()
+    chi = (n + 1) / (lat.U * n + e) + np.where(n > 0, n / (-e - lat.U * (n - 1)), 0.0)
+    sites = lat.Lx * lat.Ly
+    A = np.stack([mott._neighbour_field(col.reshape(lat.Lx, lat.Ly), lat.boundary == "periodic").ravel() for col in np.eye(sites)], axis=1)
+    r = np.sqrt(chi)
+    return float(np.linalg.eigvalsh(abs(lat.J) * r[:, None] * A * r[None, :])[-1])
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(n_max=hst.integers(1, 3), **_LATTICES)
+def test_mott_certificate_is_sound(n_max, **kw):
+    # n_max up to 3 and mu up to 3.5 U, so the atomic limit reaches n_max
+    lat = _drawn_lattice(**kw)
+    if mott._mott_certified(lat, n_max):
+        assert _dense_lambda_max(lat, n_max) < 1
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(n_max=hst.integers(1, 4), max_sweeps=hst.sampled_from([1, 3, 4000]), **_LATTICES)
+def test_certified_minimize_matches_two_starts(n_max, max_sweeps, **kw):
+    lat = _drawn_lattice(**kw)
+    ref = _reference_minimize(lat, n_max, sweep=mott._sweep_to_convergence, max_sweeps=max_sweeps)
+    try:
+        st = mott.gutzwiller_minimize(lat, n_max=n_max, max_sweeps=max_sweeps)
+    except NotConverged as e:
+        assert not ref.converged
+        st = e.state
+    assert np.array_equal(st.f, ref.f)
+    assert (st.sweeps, st.converged) == (ref.sweeps, ref.converged)
+
+
+@pytest.mark.parametrize("J, certified", [(0.0, True), (1.0, True), (1.1, True), (1.15, True), (1.17, False), (3.0, False)])
+def test_default_superlattice_certificate(J, certified):
+    # lambda_max is 0.946 at J = 1.1, 0.989 at 1.15 and 1.006 at 1.17
+    assert mott._mott_certified(_default_superlattice(J), 6) is certified
+
+
+def test_certified_lattice_not_converged_carries_best_state():
+    # the atomic start is certified but needs 2 sweeps, so both starts run
+    lat = _default_superlattice(1.0)
+    assert mott._mott_certified(lat, 6)
+    with pytest.raises(NotConverged) as info:
+        mott.gutzwiller_minimize(lat, max_sweeps=1)
+    st = info.value.state
+    ref = _reference_minimize(lat, sweep=mott._sweep_to_convergence, max_sweeps=1)
+    assert not st.converged and np.array_equal(st.f, ref.f)
+    energies = [mott.GutzwillerState(lattice=lat, f=mott._sweep_to_convergence(lat, f0, 6, max_sweeps=1)[0]).energy() for f0 in _starts(lat)]
+    assert st.energy() == min(energies)
+
+
+@pytest.mark.parametrize("U, mu", [(1e-300, 15.0), (30.0, 1e300), (1e300, 15.0)])
+def test_mott_certificate_quiet_on_extreme_gaps(U, mu):
+    lat = mott.BoseHubbardLattice.with_superlattice(6, 6, J=1.0, U=U, mu=mu, amplitude=40.0, period=9.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mott._mott_certified(lat, 6)
+

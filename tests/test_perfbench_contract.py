@@ -65,6 +65,21 @@ def test_tracer_reads_gutzwiller_sweeps(bench_modules):
     assert top["attrs"] == {"sweeps": st.sweeps}
 
 
+def test_tracer_reads_one_sweep_run_per_certified_solve(bench_modules, tmp_path):
+    # the default ``mott`` register is a certified Mott state, so only the
+    # atomic start runs; the 4x4 U=2 lattice above (lambda = 12) runs both
+    layers, spans = bench_modules
+    tracer = spans.Tracer("t")
+    restore = layers.install(tracer)
+    try:
+        assert cli.main(["mott", "--out", str(tmp_path)]) == 0
+    finally:
+        restore()
+    names = [sp["name"] for sp in tracer.records()]
+    assert names.count("mott.gutzwiller_minimize") == 1
+    assert names.count("mott.sweep_to_convergence") == 1
+
+
 def test_tracer_reads_qc_gates(bench_modules):
     # the gate probe reads ``reg.state`` of the three gate functions, and
     # ``qc.gate.*`` adds their spans, so no gate may run inside another
