@@ -105,14 +105,19 @@ class GutzwillerState:
         lat = self.lattice
         n = np.arange(self.n_max + 1)
         onsite = 0.5 * lat.U * n * (n - 1)
-        e = float(np.einsum("ijk,k->", np.abs(self.f) ** 2, onsite))
-        e += float(np.sum((lat.eps - lat.mu) * self.density))
         phi = self.order_parameter
-        # the sum over sites of each neighbour field visits each bond twice,
-        # which supplies the hermitian-conjugate term of
-        # -J sum_<ij> (bi^dag bj + h.c.)
-        hop = float(np.sum(np.real(np.conj(phi) * _neighbour_field(phi, lat.boundary == "periodic"))))
-        return e - lat.J * hop
+        # each term is finite, but a sum over the sites may overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            e = float(np.einsum("ijk,k->", np.abs(self.f) ** 2, onsite))
+            e += float(np.sum((lat.eps - lat.mu) * self.density))
+            # the sum over sites of each neighbour field visits each bond
+            # twice, which supplies the hermitian-conjugate term of
+            # -J sum_<ij> (bi^dag bj + h.c.)
+            hop = float(np.sum(np.real(np.conj(phi) * _neighbour_field(phi, lat.boundary == "periodic"))))
+        e -= lat.J * hop
+        if not np.isfinite(e):
+            raise OverflowError("the Gutzwiller energy is not finite")
+        return e
 
 
 def _neighbour_field(phi, periodic: bool):

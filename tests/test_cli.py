@@ -221,6 +221,8 @@ def test_fidelity_curve_single_kt(tmp_path):
         "j=NaN", "mu=NaN", "u=NaN", "amplitude=Infinity", "period=NaN", "n_max=-1", "n_max=0", "lx=true", "u=true",
         # finite, but an on-site energy or the hopping scale 4 n_max |J| overflows
         "mu=1e308", "u=1e308", "j=1e308",
+        # every term fits a float, but the energy summed over the sites does not
+        "j=1e305", "mu=1e306",
     ],
 )
 def test_mott_bad_input_exits_2(tmp_path, line):
@@ -230,11 +232,12 @@ def test_mott_bad_input_exits_2(tmp_path, line):
 
 
 def test_mott_large_finite_hopping_exits_0(tmp_path):
-    cfgp = tmp_path / "c.cfg"
-    cfgp.write_text("j=1e154\n")
-    assert cli.main(["mott", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 0
-    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
-    assert math.isfinite(summary["energy"])
+    for j in ("1e154", "1e304"):
+        cfgp = tmp_path / "c.cfg"
+        cfgp.write_text(f"j={j}\n")
+        assert cli.main(["mott", "--config", str(cfgp), "--out", str(tmp_path / j)]) == 0
+        summary = json.loads((tmp_path / j / "summary.json").read_text())
+        assert math.isfinite(summary["energy"])
 
 
 def test_bool_for_int_key_exits_2(tmp_path):

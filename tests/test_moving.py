@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -18,6 +19,27 @@ def test_coherent_solution_matches_grid_oracle():
     # runs in the acceptance gate
     trajs = [traps.sine_squared_path(4.0, 30.0, 0.5), traps.sine_squared_path(6.0, 25.0, 2.0)]
     assert min(cli.transport_grid_overlaps(trajs)) >= 1 - 1e-6
+
+
+@pytest.mark.parametrize("dK", [0.0, 2e-3])
+def test_transport_criterion_oracle_catches_a_wrong_solver(monkeypatch, dK):
+    # a K off by |dK| leaves the coherent state an overlap of e^{-|dK|^2},
+    # 1 - 4e-6 at 2e-3, which the grid oracle must see; the adiabaticity
+    # check reads K only through e^{conj(alpha) gamma} with alpha = 0 on its
+    # round trip, so it still passes and the oracle fails the check alone
+    evolve = moving.evolve_coherent
+
+    def shifted(traj, t):
+        ev = evolve(traj, t)
+        return dataclasses.replace(ev, K=ev.K + dK)
+
+    monkeypatch.setattr(moving, "evolve_coherent", shifted)
+    ok, details = cli._c_transport_solver(cli.AcceptContext())
+    assert details["adiabaticity_dev"] <= 1e-8
+    if dK:
+        assert not ok and details["min_overlap"] < 1 - 1e-6
+    else:
+        assert ok and details["min_overlap"] > 1 - 1e-8
 
 
 def test_adiabaticity_relation():

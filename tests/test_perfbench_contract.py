@@ -5,6 +5,7 @@ renamed or deleted, ``install`` raises and the traced benchmark run dies
 before its first step.
 """
 
+import inspect
 import json
 import math
 import os
@@ -133,8 +134,9 @@ def test_tracer_reads_transport_oracle(bench_modules):
     finally:
         restore()
     (span,) = [sp for sp in tracer.records() if sp["name"] == "cli.transport_grid_overlap"]
-    # N times the composition steps at the default dt = 0.1, not the substeps
-    assert span["attrs"] == {"point_steps": 128 * math.ceil(2 * traj.tau / 0.1)}
+    # N times the composition steps at the default dt, not the substeps
+    dt = inspect.signature(cli.transport_grid_overlap).parameters["dt"].default
+    assert span["attrs"] == {"point_steps": 128 * math.ceil(2 * traj.tau / dt)}
 
 
 def test_tracer_reads_bb_propagation(bench_modules, ref_cfg):

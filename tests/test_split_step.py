@@ -27,10 +27,11 @@ SUZUKI_P = 1 / (4 - 4 ** (1 / 3))
 SUZUKI = (SUZUKI_P, SUZUKI_P, 1 - 4 * SUZUKI_P, SUZUKI_P, SUZUKI_P)
 
 
-def _transport_reference(traj, N=256, L=36.0, dt=0.1, coeffs=SUZUKI):
+def _transport_reference(traj, N=128, L=36.0, dt=0.25, coeffs=SUZUKI):
     """The grid state at t = tau and the transport oracle's overlap, from
     ceil(2 tau/dt) steps of the composition of midpoint Strang substeps
-    whose lengths are ``coeffs`` times the step."""
+    whose lengths are ``coeffs`` times the step; the defaults are the
+    oracle's."""
     tau = traj.tau
     dx = L / N
     x = (np.arange(N) - N // 2) * dx
@@ -61,13 +62,13 @@ def test_ragged_transport_stack_matches_one_row_runs():
     # 2 tau/dt is not an integer on any path, so each row takes its own dt,
     # and the step counts differ, so rows leave the stack one at a time
     trajs = [
-        traps.sine_squared_path(2.0, 1.2345, 1.0),  # 25 steps
-        traps.sine_squared_path(2.0, 2.0007, 0.5),  # 41 steps
-        traps.gaussian_bump_path(1.0, 1.5003, 0.4),  # 31 steps
+        traps.sine_squared_path(2.0, 1.2345, 1.0),  # 10 steps
+        traps.sine_squared_path(2.0, 2.0007, 0.5),  # 17 steps
+        traps.gaussian_bump_path(1.0, 1.5003, 0.4),  # 13 steps
     ]
-    assert [int(np.ceil(2 * t.tau / 0.1)) for t in trajs] == [25, 41, 31]
-    dts = {2 * t.tau / np.ceil(2 * t.tau / 0.1) for t in trajs}
-    assert len(dts) == 3 and 0.1 not in dts
+    assert [int(np.ceil(2 * t.tau / 0.25)) for t in trajs] == [10, 17, 13]
+    dts = {2 * t.tau / np.ceil(2 * t.tau / 0.25) for t in trajs}
+    assert len(dts) == 3 and 0.25 not in dts
     _, states = cli._transport_grid_states(trajs)
     overlaps = cli.transport_grid_overlaps(trajs)
     for traj, state, overlap in zip(trajs, states, overlaps):
@@ -85,8 +86,8 @@ def test_moving_well_kicks_match_naive_loop(every):
     # kicks drawn by substep index reproduce the state itself, whether the
     # run is one segment or is cut for observation between the stages of a step
     traj = traps.sine_squared_path(2.0, 2.0, 0.5)
-    expected, _ = _transport_reference(traj)
     N, L, tau = 256, 36.0, traj.tau
+    expected, _ = _transport_reference(traj, N=N, L=L, dt=0.1)
     dx = L / N
     x = (np.arange(N) - N // 2) * dx
     psi = np.pi ** (-0.25) * np.exp(-0.5 * (x - float(traj.x(-tau))) ** 2)
@@ -138,16 +139,27 @@ def test_release_amplitudes_are_fourth_order():
 
 
 def test_transport_oracle_is_fourth_order():
-    # halving the step cuts the change of the state about 16-fold, and at the
-    # default step the state agrees with a fine Strang run on the same grid
+    # halving the step cuts the change of the state about 16-fold, and at
+    # dt = 0.1 the state agrees with a fine Strang run on the same grid
     traj = traps.sine_squared_path(2.0, 2.0, 0.5)
-    states = {h: cli._transport_grid_states([traj], dt=h)[1][0] for h in (0.4, 0.2, 0.1, 0.05)}
+    states = {h: cli._transport_grid_states([traj], N=256, dt=h)[1][0] for h in (0.4, 0.2, 0.1, 0.05)}
     for h in (0.4, 0.2):
         big = np.max(np.abs(states[h] - states[h / 2]))
         small = np.max(np.abs(states[h / 2] - states[h / 4]))
         assert big >= 12 * small
-    fine, _ = _transport_reference(traj, dt=2.5e-4, coeffs=(1.0,))
+    fine, _ = _transport_reference(traj, N=256, dt=2.5e-4, coeffs=(1.0,))
     assert np.max(np.abs(states[0.1] - fine)) <= 2e-6
+
+
+def test_default_transport_oracle_is_within_its_budget():
+    # at the default 128 points and dt = 0.25 the oracle's own error (about
+    # 7e-10) stays over 100 times below the acceptance bound of 1e-6, both
+    # against the fine grid and against the exact overlap of 1
+    trajs = cli.benchmark_trajectories()
+    coarse = np.array(cli.transport_grid_overlaps(trajs))
+    fine = np.array(cli.transport_grid_overlaps(trajs, N=256, dt=0.1))
+    assert np.max(np.abs(coarse - fine)) <= 1e-8
+    assert np.max(np.abs(1 - coarse)) <= 1e-8
 
 
 def _bb_reference(cfg, N, L, steps_per_period, n_periods, sigma_reg=0.0176):
