@@ -296,8 +296,9 @@ def _mott_state(cfg):
 
 def _parse_kt_list(text: str) -> list[float]:
     """Comma-separated temperatures kT/(hbar omega), each in [0, 10]: the
-    level count grows about linearly with kT and the fidelity QP about as
-    its cube, so kT = 10 (230 levels) takes about 1.6 s."""
+    level count grows about linearly with kT and the overlap table of the
+    fidelity QP with its square, so kT = 10 (231 levels, 53,361 level
+    pairs) takes 0.02-0.03 s after 0.4 s of imports (2-core Xeon)."""
     try:
         kts = [float(v) for v in text.split(",")]
     except ValueError:
@@ -313,7 +314,7 @@ def _min_fidelity_curve(cfg):
     kts = _parse_kt_list(cfg["kt_list"])
     paths = (traps.sine_squared_path(cfg[key], cfg["tau"], 1.0) for key in ("amplitude_a", "amplitude_b"))
     chan = fidelity.moving_channel(*paths)
-    return kts, [fidelity.min_fidelity(chan, fidelity.thermal_state(kt) if kt > 0 else None) for kt in kts]
+    return kts, [fidelity.min_fidelity(chan, fidelity.thermal_state(kt)) for kt in kts]
 
 
 def _ramsey_state(n_atoms: int, phi: float):
@@ -436,8 +437,11 @@ def _c_transport_solver(ctx: AcceptContext):
     alpha = float(np.asarray(traj.x(traj.tau))) / np.sqrt(2)
     ground = abs(ev.overlap_with_coherent(alpha)) ** 2
     adia_dev = abs((1.0 - ground) - pop_exc)
-    ok = min(overlaps) >= 1 - 1e-6 and adia_dev <= 1e-8
-    return ok, {"min_overlap": min(overlaps), "overlaps": overlaps, "adiabaticity_dev": adia_dev, "r": r}
+    # the exact solution keeps Im beta = |K|^2 / 2 (the state stays
+    # normalized); the round trip above reads only Im beta, this reads K
+    norm_dev = abs(abs(ev.K) ** 2 / 2 - ev.beta.imag)
+    ok = min(overlaps) >= 1 - 1e-6 and adia_dev <= 1e-8 and norm_dev <= 1e-8
+    return ok, {"min_overlap": min(overlaps), "overlaps": overlaps, "adiabaticity_dev": adia_dev, "coherent_norm_dev": norm_dev, "r": r}
 
 
 def _c_perturbative_oracle(ctx: AcceptContext):

@@ -1,14 +1,14 @@
 """Minimum gate fidelity over internal two-atom inputs with thermal motion.
 
-A gate channel is modeled per internal basis pair s by a single complex
-number v_s = e^{i(theta_s - theta_ideal_s)} * o_s: the actual phase relative
-to the ideal one times the motional revival amplitude.  Motional components
-that fail to revive are treated as orthogonal between channels (worst case),
-giving
+A gate channel is a table of complex numbers, a row per pair of motional
+levels and a column per internal basis pair s: v_s = e^{i(theta_s -
+theta_ideal_s)} * o_s, the actual phase relative to the ideal one times
+the motional revival amplitude.  Motional components that fail to revive
+are treated as orthogonal between channels (worst case), giving
 
     F(|phi>) = |sum_s w_s v_s|^2 + sum_s w_s^2 (1 - |v_s|^2),  w_s = |c_s|^2
 
-per thermally occupied level, averaged with the level probabilities.
+per thermally occupied level pair, averaged with the level probabilities.
 That average is the quadratic form F(w) = w^T Q w with the positive
 semidefinite Q = sum_lev p_lev [Re(v v^H) + diag(1 - |v|^2)], so the
 minimum over inputs is a convex quadratic program on the probability
@@ -33,15 +33,19 @@ from .traps import SwitchingConfig, Trajectory
 
 @dataclass
 class ThermalMotionalState:
-    """Boltzmann occupation of oscillator levels; kT in units of hbar*omega."""
+    """Boltzmann occupation p of oscillator levels 0..n_max; kT in units of
+    hbar*omega."""
 
     kT: float
-    n_max: int
     p: np.ndarray
 
     def __post_init__(self):
         if abs(float(np.sum(self.p)) - 1.0) > 1e-12:
             raise ValidationError("occupations not normalized")
+
+    @property
+    def n_max(self) -> int:
+        return len(self.p) - 1
 
 
 def thermal_state(kT: float) -> ThermalMotionalState:
@@ -51,7 +55,7 @@ def thermal_state(kT: float) -> ThermalMotionalState:
     if kT < 0:
         raise ValidationError("kT must be >= 0")
     if kT == 0:
-        return ThermalMotionalState(kT=kT, n_max=0, p=np.r_[1.0])
+        return ThermalMotionalState(kT=kT, p=np.r_[1.0])
     q = float(np.exp(-1.0 / kT))
     n = 1
     while q ** (n + 1) > 1e-10:
@@ -59,45 +63,38 @@ def thermal_state(kT: float) -> ThermalMotionalState:
     ns = np.arange(n + 1)
     p = (1 - q) * q**ns
     p = p / p.sum()  # fold the sub-1e-10 tail back in
-    return ThermalMotionalState(kT=kT, n_max=n, p=p)
+    return ThermalMotionalState(kT=kT, p=p)
 
 
 @dataclass
 class GateChannel:
     """Internal-basis channel description.
 
-    basis: internal pair labels; overlaps(n1, n2) returns {s: v_s} for both
-    atoms starting in motional levels n1, n2.
+    basis: internal pair labels; overlaps(n1, n2) takes equal-length integer
+    arrays of motional levels and returns the (pairs, basis) table of v_s
+    for both atoms starting in levels n1[k], n2[k].
     """
 
     basis: tuple
-    overlaps: Callable[[int, int], dict]
+    overlaps: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def ideal_channel() -> GateChannel:
-    basis = ("aa", "ab", "ba", "bb")
-    return GateChannel(basis=basis, overlaps=lambda n1, n2: {s: 1.0 + 0j for s in basis})
+    return GateChannel(basis=("aa", "ab", "ba", "bb"), overlaps=lambda n1, n2: np.ones((len(n1), 4), complex))
 
 
 def _levels(rho_ext: ThermalMotionalState | None):
-    """(p, n1, n2) triples for the thermal product ensemble, plus leftover
-    mass.  Every ``ThermalMotionalState`` is normalized to within 1e-12
-    (``thermal_state`` folds its truncated tail back into p), so the
-    leftover is rounding only."""
-    if rho_ext is None or rho_ext.kT == 0:
-        return [(1.0, 0, 0)], 0.0
-    p = rho_ext.p
-    levs = [(float(p[i] * p[j]), i, j) for i in range(len(p)) for j in range(len(p))]
-    mass = sum(w for w, _, _ in levs)
-    return levs, max(0.0, 1.0 - mass)
+    """Probabilities p and levels n1, n2 of the level pairs of the thermal
+    product ensemble, n1-major; the motional ground state for None."""
+    p = np.ones(1) if rho_ext is None else rho_ext.p
+    n1, n2 = np.divmod(np.arange(len(p) ** 2), len(p))
+    return np.outer(p, p).ravel(), n1, n2
 
 
 def _overlap_table(channel: GateChannel, rho_ext: ThermalMotionalState | None):
     """Level-pair probabilities p (levels,) and overlaps V (levels, basis)."""
-    levs, _ = _levels(rho_ext)
-    p = np.array([plev for plev, _, _ in levs])
-    V = np.array([[d[s] for s in channel.basis] for d in (channel.overlaps(n1, n2) for _, n1, n2 in levs)], dtype=complex)
-    return p, V
+    p, n1, n2 = _levels(rho_ext)
+    return p, np.asarray(channel.overlaps(n1, n2), dtype=complex)
 
 
 def _fidelity_matrix(channel: GateChannel, rho_ext: ThermalMotionalState | None) -> np.ndarray:
@@ -143,25 +140,16 @@ def _simplex_qp_min(Q: np.ndarray):
     return best_f, best_w
 
 
-def min_fidelity(
-    channel: GateChannel,
-    rho_ext: ThermalMotionalState | None = None,
-    return_state: bool = False,
-):
+def min_fidelity(channel: GateChannel, rho_ext: ThermalMotionalState | None = None) -> float:
     """Minimum of the channel fidelity over all normalized internal inputs.
 
     The input enters only through its basis weights w_s = |c_s|^2, so the
     fidelity is the convex quadratic w^T Q w (``_fidelity_matrix``) and its
     minimum over the simplex is found exactly by solving the KKT system on
     each of the 2^dim - 1 faces (``_simplex_qp_min``).  The result is
-    clipped to [0, 1]; with ``return_state`` the minimizing input
-    c_s = sqrt(w_s) is returned as a {label: amplitude} dict.
+    clipped to [0, 1].
     """
-    f, w = _simplex_qp_min(_fidelity_matrix(channel, rho_ext))
-    fmin = float(np.clip(f, 0.0, 1.0))
-    if return_state:
-        return fmin, dict(zip(channel.basis, np.sqrt(w)))
-    return fmin
+    return float(np.clip(_simplex_qp_min(_fidelity_matrix(channel, rho_ext))[0], 0.0, 1.0))
 
 
 def minimize(*args, **kwargs):
@@ -205,13 +193,18 @@ def _min_fidelity_multistart(
     return float(np.clip(min(minimize(cost, u0, method="L-BFGS-B").fun for u0 in starts), 0.0, 1.0))
 
 
-def _laguerre(n: int, x: float) -> float:
-    """The Laguerre polynomial L_n(x), by the recurrence
-    L_{k+1} = ((2k + 1 - x) L_k - k L_{k-1}) / (k + 1)."""
-    prev, cur = 0.0, 1.0  # L_{-1}, L_0
-    for k in range(n):
-        prev, cur = cur, ((2 * k + 1 - x) * cur - k * prev) / (k + 1)
-    return cur
+def _laguerre(n_max: int, x: float) -> np.ndarray:
+    """The Laguerre polynomials L_0(x) ... L_{n_max}(x), by the recurrence
+    L_{k+1} = ((2k + 1 - x) L_k - k L_{k-1}) / (k + 1).  Raises
+    OverflowError if one leaves the float range (|L_n(x)| <= e^{x/2} for
+    x >= 0, so only past x = 1419)."""
+    L = [0.0, 1.0]  # L_{-1}, L_0
+    for k in range(n_max):
+        L.append(((2 * k + 1 - x) * L[-1] - k * L[-2]) / (k + 1))
+    L = np.array(L[1:])
+    if not np.isfinite(L).all():
+        raise OverflowError(f"Laguerre polynomials L_n({x:.6g}), n <= {n_max}, overflow a float")
+    return L
 
 
 def moving_channel(
@@ -225,27 +218,18 @@ def moving_channel(
     give the per-level revival amplitude; collisional/kinetic phases are
     taken at their intended values.
     """
-    resid = {}
-    for lab, traj in (("a", traj_a), ("b", traj_b)):
+    g2s = []
+    for traj in (traj_a, traj_b):
         ev = evolve_coherent(traj, traj.tau)
         alpha_end = float(np.asarray(traj.x(traj.tau))) / np.sqrt(2)
-        resid[lab] = ev.gamma - alpha_end
-
-    def atom_amp(lab, n):
-        g2 = abs(resid[lab]) ** 2
-        return float(np.exp(-g2 / 2) * _laguerre(n, g2))
-
-    basis = ("aa", "ab", "ba", "bb")
+        g2s.append(float(abs(ev.gamma - alpha_end) ** 2))
 
     def overlaps(n1, n2):
-        return {
-            "aa": atom_amp("a", n1) * atom_amp("a", n2),
-            "ab": atom_amp("a", n1) * atom_amp("b", n2),
-            "ba": atom_amp("b", n1) * atom_amp("a", n2),
-            "bb": atom_amp("b", n1) * atom_amp("b", n2),
-        }
+        n_max = max(n1.max(), n2.max())
+        a, b = (np.exp(-g2 / 2) * _laguerre(n_max, g2) for g2 in g2s)
+        return np.stack([a[n1] * a[n2], a[n1] * b[n2], b[n1] * a[n2], b[n1] * b[n2]], axis=1)
 
-    return GateChannel(basis=basis, overlaps=overlaps)
+    return GateChannel(basis=("aa", "ab", "ba", "bb"), overlaps=overlaps)
 
 
 def switching_channel(cfg: SwitchingConfig, bb_series: SwitchTimeSeries, tau: float) -> GateChannel:
@@ -276,8 +260,8 @@ def switching_channel(cfg: SwitchingConfig, bb_series: SwitchTimeSeries, tau: fl
     v_aa = a_aa * np.exp(-2j * lam_a)
     v_ab = a_ab * np.exp(-1j * (lam_a + lam_b))
     v_bb = a_bb * np.exp(-1j * (2 * lam_b + np.pi))
-    vs = {"aa": complex(v_aa), "ab": complex(v_ab), "bb": complex(v_bb)}
-    return GateChannel(basis=("aa", "ab", "bb"), overlaps=lambda n1, n2: vs)
+    row = np.array([v_aa, v_ab, v_bb], dtype=complex)
+    return GateChannel(basis=("aa", "ab", "bb"), overlaps=lambda n1, n2: np.full((len(n1), 3), row))
 
 
 @dataclass

@@ -3,9 +3,11 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import coldgate
 from coldgate import cli, moving, switching
@@ -206,6 +208,38 @@ def test_fidelity_curve_bad_kt_list_exits_2(tmp_path, kt_list):
     assert cli.main(["fidelity-curve", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2
 
 
+# each key takes a value at or past its edges in about one draw of four;
+# the other taus stay at or below 100, where one solve takes well under a
+# second
+_EDGES = st.sampled_from([0.0, -1.0, -1e200, 1e-300, 1e200, 1e6, float("nan"), float("inf")])
+_BAD_KTS = st.sampled_from([-1e-9, 10.000001, 1e200, float("nan"), float("inf")])
+
+
+def _usually(strategy, edges):
+    return st.one_of(strategy, strategy, strategy, edges)
+
+
+@given(
+    amplitude_a=_usually(st.floats(-1e4, 1e4), _EDGES),
+    amplitude_b=_usually(st.floats(-1e4, 1e4), _EDGES),
+    tau=_usually(st.floats(1e-3, 100.0), _EDGES),
+    kt_list=_usually(
+        st.lists(st.floats(0.0, 10.0), min_size=1, max_size=3),
+        st.lists(_usually(st.floats(0.0, 10.0), _BAD_KTS), min_size=1, max_size=3),
+    ).map(lambda kts: ",".join(map(repr, kts))),
+)
+@settings(max_examples=40, deadline=None)
+def test_fidelity_curve_fuzz_exits_0_2_or_3(amplitude_a, amplitude_b, tau, kt_list):
+    # a result, bad input (2) or an unresolved solve (3); never a failed
+    # gate (1) or a fault of the program (4)
+    cfg = {"amplitude_a": amplitude_a, "amplitude_b": amplitude_b, "tau": tau, "kt_list": kt_list}
+    with tempfile.TemporaryDirectory() as d:
+        cfgp = os.path.join(d, "c.json")
+        with open(cfgp, "w") as fh:
+            json.dump(cfg, fh)
+        assert cli.main(["fidelity-curve", "--config", cfgp, "--out", os.path.join(d, "o")]) in (0, 2, 3)
+
+
 def test_fidelity_curve_single_kt(tmp_path):
     # the lone number decodes as a JSON float, not as the list's text
     cfgp = tmp_path / "c.cfg"
@@ -288,6 +322,9 @@ def test_qc_bad_input_exits_2(tmp_path, scenario, lines):
         ("gate-moving", "tau=1e-300"),
         ("gate-moving", "cycles=1e300"),
         ("fidelity-curve", "amplitude_b=1e200"),
+        # |g|^2 = 16,270 left by the transport overflows L_n up to n = 230:
+        # NaN overlaps were a LinAlgError and exit 4
+        ("fidelity-curve", '{"amplitude_a": 1000.0, "kt_list": "10"}'),
         ("qc-ghz", "n=30"),  # 31 sites, refused before 2^30 amplitudes are built
         ("qc-ghz", '{"n": 4'),  # malformed JSON was a traceback and exit 1
     ],

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import eval_laguerre
 
-from coldgate import cli, fidelity, switching, traps
+from coldgate import cli, fidelity, moving, switching, traps
 from coldgate.errors import ValidationError
 
 
@@ -34,8 +34,8 @@ def test_ideal_channel_is_perfect():
 def test_min_fidelity_finds_phase_conflict():
     # opposite unit phases on two channels: the balanced superposition has
     # zero fidelity
-    vs = {"aa": 1.0 + 0j, "ab": 1.0 + 0j, "ba": 1.0 + 0j, "bb": -1.0 + 0j}
-    chan = fidelity.GateChannel(basis=("aa", "ab", "ba", "bb"), overlaps=lambda n1, n2: vs)
+    vs = np.array([1.0, 1.0, 1.0, -1.0], dtype=complex)
+    chan = fidelity.GateChannel(basis=("aa", "ab", "ba", "bb"), overlaps=lambda n1, n2: np.full((len(n1), 4), vs))
     assert fidelity.min_fidelity(chan) == pytest.approx(0.0, abs=1e-8)
 
 
@@ -44,8 +44,8 @@ def test_min_fidelity_pure_loss_channel():
     # input concentrates all weight there, F = o^2 + (1 - o^2) recovers the
     # incoherent floor at w = 1
     o = 0.6
-    vs = {"aa": 1.0 + 0j, "ab": 1.0 + 0j, "ba": 1.0 + 0j, "bb": o + 0j}
-    chan = fidelity.GateChannel(basis=("aa", "ab", "ba", "bb"), overlaps=lambda n1, n2: vs)
+    vs = np.array([1.0, 1.0, 1.0, o], dtype=complex)
+    chan = fidelity.GateChannel(basis=("aa", "ab", "ba", "bb"), overlaps=lambda n1, n2: np.full((len(n1), 4), vs))
     f = fidelity.min_fidelity(chan)
     # minimize w*o + ... analytically over the two-level reduction
     ws = np.linspace(0, 1, 20001)
@@ -65,31 +65,52 @@ def test_moving_channel_monotone_in_temperature():
     chan = fidelity.moving_channel(traj_a, traj_b)
     fs = []
     for kt in (0.0, 0.1, 0.2, 0.4):
-        rho = fidelity.thermal_state(kt) if kt > 0 else None
-        fs.append(fidelity.min_fidelity(chan, rho))
+        fs.append(fidelity.min_fidelity(chan, fidelity.thermal_state(kt)))
     assert all(fs[i + 1] <= fs[i] + 1e-12 for i in range(3))
 
 
-def test_laguerre_recurrence_matches_scipy(monkeypatch):
-    # every (n, x) that moving_channel evaluates at the fidelity-curve defaults
-    seen = []
-    laguerre = fidelity._laguerre
+def _fidelity_curve_g2s():
+    """|g|^2 of atoms a and b at the fidelity-curve defaults, where g is the
+    coherent amplitude left over from the transport."""
+    cfg = cli.SCENARIOS["fidelity-curve"][1]
+    g2s = []
+    for key in ("amplitude_a", "amplitude_b"):
+        traj = traps.sine_squared_path(cfg[key], cfg["tau"], 1.0)
+        g = moving.evolve_coherent(traj, traj.tau).gamma - float(traj.x(traj.tau)) / np.sqrt(2)
+        g2s.append(abs(g) ** 2)
+    return g2s
 
-    def spy(n, x):
-        seen.append((n, x))
-        return laguerre(n, x)
 
-    monkeypatch.setattr(fidelity, "_laguerre", spy)
-    cli._min_fidelity_curve(cli.SCENARIOS["fidelity-curve"][1])
-    assert len({n for n, _ in seen}) > 5 and len({x for _, x in seen}) == 2
-    for n, x in set(seen):
-        ref = eval_laguerre(n, x)
-        assert abs(laguerre(n, x) - ref) <= 1e-12 * max(1.0, abs(ref)), (n, x)
+def test_laguerre_recurrence_matches_scipy():
+    # L_0 ... L_230 (the levels of kT = 10, the kt_list cap) at both |g|^2
+    for x in _fidelity_curve_g2s():
+        ref = eval_laguerre(np.arange(231), x)
+        got = fidelity._laguerre(230, x)
+        assert got.shape == (231,)
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref))), x
+
+
+def test_moving_channel_table_at_the_kt_cap(tmp_path):
+    # every one of the 231^2 level pairs of kT = 10 against the scalar
+    # amplitude e^{-g/2} L_n(g) of each atom, at the fidelity-curve defaults
+    cfg = cli.SCENARIOS["fidelity-curve"][1]
+    chan = fidelity.moving_channel(*(traps.sine_squared_path(cfg[k], cfg["tau"], 1.0) for k in ("amplitude_a", "amplitude_b")))
+    p, n1, n2 = fidelity._levels(fidelity.thermal_state(10.0))
+    assert len(p) == 231**2
+    a, b = (np.exp(-g / 2) * eval_laguerre(np.arange(231), g) for g in _fidelity_curve_g2s())
+    ref = np.stack([a[n1] * a[n2], a[n1] * b[n2], b[n1] * a[n2], b[n1] * b[n2]], axis=1)
+    assert np.max(np.abs(chan.overlaps(n1, n2) - ref)) <= 1e-12
+    cfgp = tmp_path / "c.cfg"
+    cfgp.write_text("kt_list=10\n")
+    assert cli.main(["fidelity-curve", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 0
+    rows = (tmp_path / "o" / "fidelity_curve.csv").read_text().splitlines()
+    assert rows[1].split(",")[0] == "10"
+    assert float(rows[1].split(",")[1]) == pytest.approx(0.25089116036722214, abs=1e-12)
 
 
 def test_switching_channel_reference_point(ref_cfg, bb_series):
     chan = fidelity.switching_channel(ref_cfg, bb_series, bb_series.tau)
-    vs = chan.overlaps(0, 0)
+    vs = dict(zip(chan.basis, chan.overlaps(np.zeros(1, int), np.zeros(1, int))[0]))
     assert set(vs) == {"aa", "ab", "bb"}
     # frame calibration makes the one-particle channels pure-amplitude
     assert np.angle(vs["aa"]) == pytest.approx(0.0, abs=1e-9)
@@ -127,8 +148,8 @@ def random_channels(draw):
     phases = draw(st.lists(st.floats(-np.pi, np.pi), min_size=size, max_size=size))
     v = (np.array(mods) * np.exp(1j * np.array(phases))).reshape(n_levels, n_levels, dim)
     basis = ("aa", "ab", "ba", "bb")[:dim]
-    chan = fidelity.GateChannel(basis=basis, overlaps=lambda n1, n2: dict(zip(basis, v[n1, n2])))
-    rho = fidelity.ThermalMotionalState(kT=1.0, n_max=n_levels - 1, p=weights / weights.sum())
+    chan = fidelity.GateChannel(basis=basis, overlaps=lambda n1, n2: v[n1, n2])
+    rho = fidelity.ThermalMotionalState(kT=1.0, p=weights / weights.sum())
     return chan, rho
 
 
@@ -137,7 +158,7 @@ def _fidelity_level_by_level(chan, rho, c):
     f = 0.0
     for i, pi in enumerate(rho.p):
         for j, pj in enumerate(rho.p):
-            vs = np.array([chan.overlaps(i, j)[s] for s in chan.basis])
+            vs = chan.overlaps(np.array([i]), np.array([j]))[0]
             f += pi * pj * (abs(np.dot(w, vs)) ** 2 + np.dot(w**2, 1.0 - np.abs(vs) ** 2))
     return float(f)
 
@@ -146,7 +167,9 @@ def _fidelity_level_by_level(chan, rho, c):
 @settings(max_examples=25, deadline=None)
 def test_exact_min_fidelity_matches_multistart_oracle(chan_rho):
     chan, rho = chan_rho
-    f, c = fidelity.min_fidelity(chan, rho, return_state=True)
+    f = fidelity.min_fidelity(chan, rho)
+    _, w = fidelity._simplex_qp_min(fidelity._fidelity_matrix(chan, rho))
+    c = dict(zip(chan.basis, np.sqrt(w)))
     oracle = fidelity._min_fidelity_multistart(chan, rho)
     assert abs(f - oracle) <= 1e-9
     assert f <= oracle + 1e-12

@@ -21,12 +21,13 @@ def test_coherent_solution_matches_grid_oracle():
     assert min(cli.transport_grid_overlaps(trajs)) >= 1 - 1e-6
 
 
-@pytest.mark.parametrize("dK", [0.0, 2e-3])
+@pytest.mark.parametrize("dK", [0.0, 2e-3, 2e-3j])
 def test_transport_criterion_oracle_catches_a_wrong_solver(monkeypatch, dK):
     # a K off by |dK| leaves the coherent state an overlap of e^{-|dK|^2},
-    # 1 - 4e-6 at 2e-3, which the grid oracle must see; the adiabaticity
+    # 1 - 4e-6 at |dK| = 2e-3, which the grid oracle must see; the adiabaticity
     # check reads K only through e^{conj(alpha) gamma} with alpha = 0 on its
-    # round trip, so it still passes and the oracle fails the check alone
+    # round trip, so it still passes, and the norm check Im beta = |K|^2 / 2
+    # sees the shift as well
     evolve = moving.evolve_coherent
 
     def shifted(traj, t):
@@ -38,8 +39,10 @@ def test_transport_criterion_oracle_catches_a_wrong_solver(monkeypatch, dK):
     assert details["adiabaticity_dev"] <= 1e-8
     if dK:
         assert not ok and details["min_overlap"] < 1 - 1e-6
+        assert details["coherent_norm_dev"] > 1e-8
     else:
         assert ok and details["min_overlap"] > 1 - 1e-8
+        assert details["coherent_norm_dev"] <= 1e-12
 
 
 def test_adiabaticity_relation():
