@@ -385,7 +385,8 @@ class AcceptContext:
 def _c_switching_phase(ctx: AcceptContext):
     ser = ctx.bb_series
     pert = switching.phase_per_period_perturbative(ctx.cfg)
-    rel = abs(pert.quadrature - pert.closed_form) / pert.closed_form
+    diff = abs(pert.quadrature - pert.closed_form)
+    rel = diff / abs(pert.closed_form) if diff else 0.0  # the g_scale = 0 tamper zeroes both
     ok = abs(ser.phase_final - np.pi) <= 0.05 * np.pi and rel <= 0.01
     return ok, {
         "phase_final_over_pi": ser.phase_final / np.pi,
@@ -593,8 +594,8 @@ def _scn_gate_moving(cfg, outdir, seed):
     bump = 0.5 * (sep0 - cfg["min_distance"])
     t1 = traps.sine_squared_path(bump, cfg["tau"], 1.0)
     t2 = traps.sine_squared_path(-bump, cfg["tau"], 1.0)
-    shifted1 = traps.Trajectory(tau=t1.tau, x=lambda t: -sep0 / 2 + t1.x(t), dx=t1.dx, d2x=t1.d2x)
-    shifted2 = traps.Trajectory(tau=t2.tau, x=lambda t: sep0 / 2 + t2.x(t), dx=t2.dx, d2x=t2.d2x)
+    shifted1 = traps.Trajectory(tau=t1.tau, x=lambda t: -sep0 / 2 + t1.x(t), derivs=t1.derivs)
+    shifted2 = traps.Trajectory(tau=t2.tau, x=lambda t: sep0 / 2 + t2.x(t), derivs=t2.derivs)
     summary["collisional_phase_ab"] = moving.collisional_phase_perturbative(shifted1, shifted2, cfg["a_s"])
     _write_json(os.path.join(outdir, "summary.json"), summary)
     return 0

@@ -33,10 +33,8 @@ from .traps import SwitchingConfig, Trajectory
 
 @dataclass
 class ThermalMotionalState:
-    """Boltzmann occupation p of oscillator levels 0..n_max; kT in units of
-    hbar*omega."""
+    """Boltzmann occupation p of oscillator levels 0..n_max."""
 
-    kT: float
     p: np.ndarray
 
     def __post_init__(self):
@@ -55,7 +53,7 @@ def thermal_state(kT: float) -> ThermalMotionalState:
     if kT < 0:
         raise ValidationError("kT must be >= 0")
     if kT == 0:
-        return ThermalMotionalState(kT=kT, p=np.r_[1.0])
+        return ThermalMotionalState(p=np.r_[1.0])
     q = float(np.exp(-1.0 / kT))
     n = 1
     while q ** (n + 1) > 1e-10:
@@ -63,7 +61,7 @@ def thermal_state(kT: float) -> ThermalMotionalState:
     ns = np.arange(n + 1)
     p = (1 - q) * q**ns
     p = p / p.sum()  # fold the sub-1e-10 tail back in
-    return ThermalMotionalState(kT=kT, p=p)
+    return ThermalMotionalState(p=p)
 
 
 @dataclass

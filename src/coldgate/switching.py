@@ -4,10 +4,11 @@ The barrier of a state-selective double well is switched off for state b;
 the two b atoms oscillate through each other and accumulate an interaction
 phase.  Center-of-mass motion, like that of one released b atom, is
 analytic (``cm_overlap_complex``).  The relative coordinate carries a
-regularized contact term; ``propagate`` evolves it exactly in time, with
-its g=0 reference, in the lowest even eigenpairs of the periodic grid
-Hamiltonian.  On even functions the grid's FFT kinetic energy is a DCT-I,
-so a block LOBPCG finds those pairs without forming a matrix, and the
+regularized contact term; ``propagate`` evolves it exactly in time in the
+lowest even eigenpairs of the periodic grid Hamiltonian, and its g=0
+reference in those of the oscillator, the even Hermite functions in closed
+form.  On even functions the grid's FFT kinetic energy is a DCT-I, so a
+block LOBPCG finds the interacting pairs without forming a matrix, and the
 resolution precheck repeats the solve on the 2N grid, warm-started from the
 N eigenvectors.  The series keeps the spectrum, so every (b,b) value read
 between samples, the revival peaks included, is the exact one at its t.
@@ -24,7 +25,7 @@ composition's stages, and the caller supplies each substep's half kick.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import cycle
 
 import numpy as np
@@ -195,13 +196,10 @@ def _regularized_delta(x, sigma):
 
 @dataclass
 class SwitchTimeSeries:
-    """Gate dynamics sampled at the times t (units of 1/omega, T = 2 pi).
-
-    The (b,b) series of ``propagate`` keeps its ``spectrum``, so
+    """The (b,b) gate dynamics of ``propagate``, sampled at the times t
+    (units of 1/omega, T = 2 pi).  The series keeps its ``spectrum``, so
     ``amp_init_at``, ``phase_at`` and the revival fields are exact at any t,
-    not read between samples.  The (a,b) series of ``propagate_ab`` has no
-    spectrum and carries only its samples: its revival fields are NaN, and
-    ``amp_init_at`` and ``phase_at`` need the spectrum, so they do not apply."""
+    not read between samples."""
 
     t: np.ndarray
     phase: np.ndarray
@@ -209,16 +207,16 @@ class SwitchTimeSeries:
     overlap_init: np.ndarray
     amp_init: np.ndarray
     period: float
-    deltaT: float = np.nan
-    tau: float = np.nan
+    deltaT: float
+    tau: float
+    revival_times: np.ndarray
+    spectrum: _BBSpectrum
+    basis_size: int
+    solver_iterations: int
+    tail_weight: float
+    precheck_delta: float | None
     phase_final: float = np.nan
     revival: float = np.nan
-    revival_times: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    spectrum: _BBSpectrum | None = None
-    basis_size: int = 0
-    solver_iterations: int = 0
-    tail_weight: float = 0.0
-    precheck_delta: float | None = None
 
     def phase_at(self, t: float) -> float:
         """The phase at t, on the 2 pi branch of the nearest sample."""
@@ -404,11 +402,11 @@ def _lowest_eigenpairs(sector: _EvenSector, V, S):
 class _BBSpectrum:
     """The (b,b) state psi0 in the lowest even eigenpairs of the interacting
     grid Hamiltonian (energies E, amplitudes c_n = <phi_n|psi0>) and of its
-    g=0 reference (E0, d_m = <chi_m|psi0>), with overlaps O = <chi_m|phi_n>.
-    ``vectors`` is the interacting solve's whole block as grid values at
-    x = 0 .. L/2, which warm-starts the precheck and is not kept in the
-    series (None there); ``iterations`` counts the LOBPCG iterations of
-    both solves."""
+    g=0 reference, the oscillator's h_0, h_2, .. (E0 = 2m + 1/2, d_m =
+    <chi_m|psi0>), with overlaps O = <chi_m|phi_n>.  ``vectors`` is the
+    interacting solve's whole block as grid values at x = 0 .. L/2, which
+    warm-starts the precheck and is not kept in the series (None there);
+    ``iterations`` counts the LOBPCG iterations of the interacting solve."""
 
     E: np.ndarray
     c: np.ndarray
@@ -420,9 +418,11 @@ class _BBSpectrum:
 
     @property
     def tail_weight(self) -> float:
-        """The weight of psi0 outside the basis, the larger of 1 - sum c_n^2
-        and 1 - sum d_m^2 (NaN if either is)."""
-        return float(np.max([1.0 - np.sum(self.c**2), 1.0 - np.sum(self.d**2)]))
+        """How far psi0 is from being held by the bases, the larger of
+        |1 - sum c_n^2| and |1 - sum d_m^2| (NaN if either is).  Two-sided:
+        on a grid too coarse or too short for h_{2 BASIS_SIZE - 2} the
+        reference rows are not orthonormal, and sum d_m^2 can pass 1."""
+        return float(np.max(np.abs([1.0 - np.sum(self.c**2), 1.0 - np.sum(self.d**2)])))
 
     def amplitudes(self, t):
         """<psi0|psi(t)> and <ref(t)|psi(t)> at the times t, rows in that
@@ -455,25 +455,23 @@ class _BBSpectrum:
 def _bb_spectrum(cfg: SwitchingConfig, grid: TwoParticleGrid, g_tilde, sigma_reg, start=None) -> _BBSpectrum:
     """``_BBSpectrum`` on ``grid``.  The interacting solve starts from
     ``start``, eigenvectors of a coarser grid of the same L as values at
-    x = 0 .. L/2, or else from the even Hermite functions, as the reference
-    solve always does.  A non-finite potential makes every field NaN, which
-    fails the checks downstream."""
+    x = 0 .. L/2, or else from the even Hermite functions, which are also,
+    in closed form, the g=0 reference.  A non-finite potential makes every
+    field NaN, which fails the checks downstream."""
     sector = _EvenSector(grid)
     x = sector.x
-    V0 = 0.5 * x**2
-    V = V0 + g_tilde * _regularized_delta(x, sigma_reg)
+    V = 0.5 * x**2 + g_tilde * _regularized_delta(x, sigma_reg)
     if not np.all(np.isfinite(V)):
         nan = np.full(BASIS_SIZE, np.nan)
         return _BBSpectrum(nan, nan, nan, nan, np.outer(nan, nan), np.full((BLOCK_SIZE, x.size), np.nan), 0)
     u0, _ = _bb_initial_state(cfg, x)
     y0 = sector.w * u0
     y0 /= np.linalg.norm(y0)
-    E0, X0, iterations0 = _lowest_eigenpairs(sector, V0, _start_block(sector))
     E, X, iterations = _lowest_eigenpairs(sector, V, _start_block(sector, start))
-    n = min(BASIS_SIZE, len(E), len(E0))
-    phi, chi = X[:n], X0[:n]
+    n = min(BASIS_SIZE, len(E))
+    phi, chi = X[:n], sector.w * _even_hermite(x, n)
     return _BBSpectrum(
-        E=E[:n], c=phi @ y0, E0=E0[:n], d=chi @ y0, O=chi @ phi.T, vectors=X / sector.w, iterations=iterations + iterations0
+        E=E[:n], c=phi @ y0, E0=2 * np.arange(n) + 0.5, d=chi @ y0, O=chi @ phi.T, vectors=X / sector.w, iterations=iterations
     )
 
 
@@ -492,9 +490,10 @@ def propagate(
     Only the relative coordinate is evolved (the CM motion is analytic),
     side by side with a g=0 reference, both exactly in time: the initial
     state is expanded in the lowest BASIS_SIZE even eigenpairs of the
-    periodic grid Hamiltonian of N points (N must be even) and length L,
-    for the interacting potential and for the reference.  Returns the
-    phase relative to the reference and the overlaps, sampled
+    periodic grid Hamiltonian of N points (N must be even) and length L
+    with the interacting potential, and in the oscillator's even
+    eigenfunctions h_0 .. h_62, known in closed form, for the reference.
+    Returns the phase relative to the reference and the overlaps, sampled
     ``steps_per_period`` times a period, with the spectrum, which gives
     them exactly at any t.  The revival near each k T is the maximum of
     |<psi0|psi(t)>|^2 found by Newton's method from the sampled one; a fit
@@ -503,8 +502,9 @@ def propagate(
     samples, the start of each Newton search and the 2 pi branch of
     ``phase_at``; the default 100 gives the reads of 4000 to within 1e-13.
 
-    ``NormLoss`` is raised when the initial state has weight above 1e-6
-    outside either basis.  With ``check_convergence`` the phase after one
+    ``NormLoss`` is raised when the norm of the initial state in either
+    basis is more than 1e-6 from 1, as on a grid too short or too coarse
+    to hold h_62.  With ``check_convergence`` the phase after one
     period must agree within 1e-3 rad with the same solve on a grid of 2N
     points, or ``ConvergenceFailure`` is raised; so is an eigensolve that
     does not converge.  The (a,b) channel needs the 2D grid of
@@ -543,7 +543,7 @@ def propagate(
 
     if not spec.tail_weight <= 1e-6:
         raise NormLoss(
-            f"the initial state has weight {spec.tail_weight:.2e} outside the {len(spec.E)} lowest eigenstates"
+            f"the initial state's norm is {spec.tail_weight:.2e} from 1 in the {len(spec.E)} lowest eigenstates"
             " of H or of its g=0 reference"
         )
 
@@ -590,14 +590,14 @@ def propagate_ab(
     L: float = 24.0,
     steps_per_period: int = 1000,
     sigma_reg: float = 0.08,
-) -> SwitchTimeSeries:
+) -> tuple[np.ndarray, np.ndarray]:
     """Full 2D (x1, x2) propagation of the (a,b) channel.
 
     The a atom stays in its double well while the b atom oscillates through
-    the merged well; the joint state does not return to itself, so the
-    series has no revival fields.  Single-particle oscillator units of the
-    merged well.  The state and its g=0 reference are sampled every 4 steps.
-    """
+    the merged well; the joint state does not return to itself.
+    Single-particle oscillator units of the merged well.  Returns the times
+    t, every 4 steps, and the amplitudes there, rows <psi0|psi(t)> and
+    <ref(t)|psi(t)> with ref the g=0 reference."""
     period = 2 * np.pi
     dt = period / steps_per_period
     dx = L / N
@@ -635,15 +635,7 @@ def propagate_ab(
     if not abs(nrm - 1.0) <= 1e-6:
         raise NormLoss(f"norm drifted to {nrm:.8f}")
 
-    a_init, a_ref = amp
-    return SwitchTimeSeries(
-        t=np.arange(0, n_steps + 1, every) * dt,
-        phase=-np.unwrap(np.angle(a_ref)),
-        overlap_ref=np.abs(a_ref) ** 2,
-        overlap_init=np.abs(a_init) ** 2,
-        amp_init=a_init,
-        period=period,
-    )
+    return np.arange(0, n_steps + 1, every) * dt, amp
 
 
 def _release_amplitudes(nu0, x0, N, L, steps):
@@ -690,12 +682,12 @@ def net_phase_gate(
     """
     if series is None:
         series = propagate(cfg, ("b", "b"), n_periods=n)
-    phi_bb = series.phase_at(series.tau)
+    phi_bb = series.phase_final
     if variant == "transverse-displacement":
         phi_ab = 0.0
     elif variant == "aligned":
-        ab = propagate_ab(cfg, n_periods=min(n, 2))
-        phi_ab = ab.phase[-1] / (ab.t[-1] / series.period) * n  # per-period extrapolation
+        t, (_, a_ref) = propagate_ab(cfg, n_periods=min(n, 2))
+        phi_ab = -np.unwrap(np.angle(a_ref))[-1] / (t[-1] / series.period) * n  # per-period extrapolation
     else:
         raise ValidationError(f"unknown variant {variant!r}")
     return NetPhaseResult(net_phase=phi_bb - 2 * phi_ab, tau=series.tau, phi_bb_total=phi_bb, phi_ab_total=phi_ab)

@@ -117,9 +117,7 @@ class Trajectory:
 
     tau: float
     x: Callable[[float], float]
-    dx: Callable[[float], float] | None = None
-    d2x: Callable[[float], float] | None = None
-    derivs: list[Callable] | None = None  # analytic derivatives, derivs[n] = d^n x/dt^n
+    derivs: tuple[Callable, ...] = ()  # analytic derivatives, derivs[n - 1] = d^n x/dt^n
 
     def velocity(self, t):
         return self.derivative(1)(t)
@@ -128,8 +126,8 @@ class Trajectory:
         """n-th time derivative as a callable, from the analytic ones the
         path carries; ValidationError past them, since finite differences are
         not accurate enough for ``moving.correction_terms``."""
-        known = self.derivs or [self.x, self.dx, self.d2x]
-        if 0 <= n < len(known) and known[n] is not None:
+        known = (self.x, *self.derivs)
+        if 0 <= n < len(known):
             return known[n]
         raise ValidationError(f"this path carries no analytic derivative of order {n}")
 
@@ -161,8 +159,7 @@ def sine_squared_path(amplitude: float, tau: float, cycles: float = 0.5) -> Traj
         # d^n/dt^n [A/2 (1 - cos(2c(t+tau)))] = -A/2 (2c)^n cos(2c(t+tau) + n pi/2)
         return lambda t, _n=n: -0.5 * A * (2 * c) ** _n * np.cos(2 * c * (t + tau) + _n * np.pi / 2)
 
-    derivs = [deriv(n) for n in range(9)]
-    return Trajectory(tau=tau, x=derivs[0], dx=derivs[1], d2x=derivs[2], derivs=derivs)
+    return Trajectory(tau=tau, x=deriv(0), derivs=tuple(deriv(n) for n in range(1, 9)))
 
 
 def gaussian_bump_path(amplitude: float, tau: float, width: float) -> Trajectory:
@@ -182,7 +179,7 @@ def gaussian_bump_path(amplitude: float, tau: float, width: float) -> Trajectory
         t = np.asarray(t, dtype=float)
         return A * (t**2 / w**4 - 1.0 / w**2) * np.exp(-(t**2) / (2 * w**2))
 
-    return Trajectory(tau=tau, x=x, dx=dx, d2x=d2x)
+    return Trajectory(tau=tau, x=x, derivs=(dx, d2x))
 
 
 @dataclass(frozen=True)

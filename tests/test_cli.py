@@ -174,10 +174,15 @@ def test_accept_nonfinite_tamper_exits_2(tmp_path, key, value):
     assert cli.main(["accept", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2
 
 
-def test_accept_negative_g_scale_is_a_tamper(tmp_path):
+@pytest.mark.parametrize("only, g_scale", [("switching-revival", -1.0), ("switching-phase", 0.0), ("switching-phase", -1.0)])
+def test_accept_negative_g_scale_is_a_tamper(tmp_path, only, g_scale):
     cfgp = tmp_path / "c.cfg"
-    cfgp.write_text("only=switching-revival\ntamper_g_scale=-1.0\n")
+    cfgp.write_text(f"only={only}\ntamper_g_scale={g_scale}\n")
     assert cli.main(["accept", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 1
+    if only == "switching-phase":
+        # 0 made 0/0 (exit 4), and -1 a negative relative difference that always passed
+        details = json.loads((tmp_path / "o" / "accept_report.json").read_text())["criteria"][0]["details"]
+        assert np.isfinite(details["perturbative_rel_diff"]) and details["perturbative_rel_diff"] >= 0
 
 
 @pytest.mark.parametrize("only", [",", ",,"])

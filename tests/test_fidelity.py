@@ -149,7 +149,7 @@ def random_channels(draw):
     v = (np.array(mods) * np.exp(1j * np.array(phases))).reshape(n_levels, n_levels, dim)
     basis = ("aa", "ab", "ba", "bb")[:dim]
     chan = fidelity.GateChannel(basis=basis, overlaps=lambda n1, n2: v[n1, n2])
-    rho = fidelity.ThermalMotionalState(kT=1.0, p=weights / weights.sum())
+    rho = fidelity.ThermalMotionalState(p=weights / weights.sum())
     return chan, rho
 
 

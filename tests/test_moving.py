@@ -184,8 +184,8 @@ def test_interaction_shift_same_state_doubles_at_large_separation():
 
 
 def test_collisional_phase_perturbative_matches_direct_integral():
-    t1 = traps.Trajectory(tau=10.0, x=lambda t: -2.0 + 0.0 * np.asarray(t), dx=lambda t: 0.0 * np.asarray(t))
-    t2 = traps.Trajectory(tau=10.0, x=lambda t: 2.0 + 0.0 * np.asarray(t), dx=lambda t: 0.0 * np.asarray(t))
+    t1 = traps.Trajectory(tau=10.0, x=lambda t: -2.0 + 0.0 * np.asarray(t), derivs=(lambda t: 0.0 * np.asarray(t),))
+    t2 = traps.Trajectory(tau=10.0, x=lambda t: 2.0 + 0.0 * np.asarray(t), derivs=(lambda t: 0.0 * np.asarray(t),))
     a_s = 1e-3
     phi = moving.collisional_phase_perturbative(t1, t2, a_s)
     expected = 20.0 * moving.interaction_shift(4.0, a_s)

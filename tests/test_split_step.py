@@ -285,8 +285,6 @@ def test_ab_series_matches_naive_loop(ref_cfg):
             a_init.append(np.vdot(psi0, psi) * dx * dx)
             a_ref.append(np.vdot(ref, psi) * dx * dx)
 
-    ser = switching.propagate_ab(ref_cfg, n_periods=1, N=N, L=L, steps_per_period=sps, sigma_reg=sigma)
-    assert len(ser.t) == len(a_init)
-    assert np.max(np.abs(ser.amp_init - np.asarray(a_init))) <= 1e-10
-    assert np.max(np.abs(ser.phase - -np.unwrap(np.angle(a_ref)))) <= 1e-10
-    assert np.max(np.abs(ser.overlap_ref - np.abs(np.asarray(a_ref)) ** 2)) <= 1e-10
+    t, amp = switching.propagate_ab(ref_cfg, n_periods=1, N=N, L=L, steps_per_period=sps, sigma_reg=sigma)
+    assert np.array_equal(t, np.arange(len(a_init)) * 4 * dt)
+    assert np.max(np.abs(amp - np.array([a_init, a_ref]))) <= 1e-10

@@ -88,15 +88,62 @@ def test_precheck_refuses_1024_and_passes_2048(ref_cfg):
     assert ser.precheck_delta <= 1e-6
 
 
+def _g_tilde(cfg):
+    a_r = np.sqrt(traps.HBAR / (cfg.mass / 2 * cfg.omega))
+    return cfg.g1d("bb") / (traps.HBAR * cfg.omega * a_r)
+
+
 @pytest.mark.parametrize("N", [64, 128])
 def test_tiny_grids_converge(ref_cfg, N):
     # at N=64 the 33 even points hold fewer than BLOCK_SIZE vectors; neither
     # grid may stall at the iteration cap
+    if N == 64:
+        # the interacting solve converges, but the 33 points cannot hold the
+        # closed-form reference h_0 .. h_62, so its norm is off and the gate refused
+        spec = switching._bb_spectrum(ref_cfg, switching.TwoParticleGrid(L=32.0, N=N, dt=1.0), _g_tilde(ref_cfg), 0.0176)
+        assert len(spec.E) == switching.BASIS_SIZE
+        assert spec.iterations < switching.MAX_ITERATIONS
+        with pytest.raises(NormLoss):
+            switching.propagate(ref_cfg, ("b", "b"), n_periods=1, N=N, steps_per_period=200, check_convergence=False)
+        return
     ser = switching.propagate(ref_cfg, ("b", "b"), n_periods=1, N=N, steps_per_period=200, check_convergence=False)
     assert ser.basis_size == switching.BASIS_SIZE
     assert ser.solver_iterations < switching.MAX_ITERATIONS
     assert abs(ser.tail_weight) <= 1e-6
     assert ser.precheck_delta is None
+
+
+@pytest.mark.parametrize("N", [256, 4096, 8192])
+def test_solved_reference_is_the_closed_form(N):
+    # the g=0 LOBPCG solve that the closed form replaced, kept as its oracle;
+    # 8192 is the precheck grid of the default N
+    sector = switching._EvenSector(switching.TwoParticleGrid(L=32.0, N=N, dt=1.0))
+    E0, X0, _ = switching._lowest_eigenpairs(sector, 0.5 * sector.x**2, switching._start_block(sector))
+    n = switching.BASIS_SIZE
+    assert np.max(np.abs(E0[:n] - (2 * np.arange(n) + 0.5))) <= 1e-12
+    H = sector.w * switching._even_hermite(sector.x, n)
+    assert np.max(np.abs(np.abs(X0[:n] @ H.T) - np.eye(n))) <= 1e-12
+
+
+def test_propagate_runs_one_eigensolve_per_grid(ref_cfg, monkeypatch):
+    # the interacting solve on N and on the 2N precheck grid; the reference is closed-form
+    grids = []
+    solve = switching._lowest_eigenpairs
+
+    def counted(sector, V, S):
+        grids.append(2 * (sector.x.size - 1))
+        return solve(sector, V, S)
+
+    monkeypatch.setattr(switching, "_lowest_eigenpairs", counted)
+    switching.propagate(ref_cfg)
+    assert grids == [4096, 8192]
+
+
+def test_short_box_raises_norm_loss(ref_cfg):
+    # L = 12 is too short for the high reference functions; a reference
+    # solved on that box reads phase/pi = 1.00623 against a converged 0.96461
+    with pytest.raises(NormLoss):
+        switching.propagate(ref_cfg, L=12.0)
 
 
 @pytest.mark.parametrize(
@@ -170,9 +217,7 @@ def test_series_reads_are_exact_between_samples(ref_cfg, bb_series, bb_series_de
     # halfway between the samples of 4000 a period, around each revival and
     # the gate time, where a linear read of the amplitude sagged |a|^2 by up
     # to 2e-4; the reads are those of the default, sparser series
-    mu = ref_cfg.mass / 2
-    g = ref_cfg.g1d("bb") / (traps.HBAR * ref_cfg.omega * np.sqrt(traps.HBAR / (mu * ref_cfg.omega)))
-    spec = switching._bb_spectrum(ref_cfg, switching.TwoParticleGrid(L=32.0, N=4096, dt=1.0), g, 0.0176)
+    spec = switching._bb_spectrum(ref_cfg, switching.TwoParticleGrid(L=32.0, N=4096, dt=1.0), _g_tilde(ref_cfg), 0.0176)
     dense = bb_series_dense
     dt = dense.t[1]
     near = np.concatenate([bb_series.revival_times, [bb_series.tau]])
@@ -268,6 +313,18 @@ def test_net_phase_transverse_displacement(ref_cfg, bb_series):
     assert res.net_phase == pytest.approx(bb_series.phase_at(bb_series.tau))
     with pytest.raises(ValidationError):
         switching.net_phase_gate(ref_cfg, variant="bogus", series=bb_series)
+
+
+def test_net_phase_aligned_extrapolates_ab_phase(ref_cfg, bb_series, monkeypatch):
+    # the (a,b) phase after its last sample, scaled to n periods, on a small 2D grid
+    solve = switching.propagate_ab
+    small = {"N": 32, "L": 24.0, "steps_per_period": 200}
+    monkeypatch.setattr(switching, "propagate_ab", lambda cfg, n_periods: solve(cfg, n_periods, **small))
+    res = switching.net_phase_gate(ref_cfg, n=7, variant="aligned", series=bb_series)
+    t, (_, a_ref) = solve(ref_cfg, 2, **small)
+    phi_ab = -np.unwrap(np.angle(a_ref))[-1] * 7 / (t[-1] / (2 * np.pi))
+    assert res.phi_ab_total == pytest.approx(phi_ab, rel=1e-12)
+    assert res.net_phase == pytest.approx(bb_series.phase_final - 2 * phi_ab, rel=1e-12)
 
 
 def test_grid_validation():

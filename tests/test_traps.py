@@ -66,9 +66,9 @@ def test_sine_squared_path_derivatives():
     tt = np.linspace(-14, 14, 11)
     h = 1e-5
     num_v = (np.asarray(path.x(tt + h)) - np.asarray(path.x(tt - h))) / (2 * h)
-    assert np.allclose(path.dx(tt), num_v, atol=1e-6)
+    assert np.allclose(path.velocity(tt), num_v, atol=1e-6)
     d3 = path.derivative(3)
-    num3 = (np.asarray(path.d2x(tt + h)) - np.asarray(path.d2x(tt - h))) / (2 * h)
+    num3 = (np.asarray(path.derivative(2)(tt + h)) - np.asarray(path.derivative(2)(tt - h))) / (2 * h)
     assert np.allclose(d3(tt), num3, atol=1e-4)
 
 
