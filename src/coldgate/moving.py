@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import numpy.fft  # numpy loads it lazily; load it with the module, not in the first step
-from numpy.polynomial.chebyshev import chebint, chebval
+from numpy.polynomial.chebyshev import chebder, chebint, chebmul
 
 from .errors import HierarchyViolated, PerturbationInvalid, QuadratureFailure, ValidationError
 from .traps import Trajectory
@@ -25,12 +25,13 @@ CHEB_MAX_POINTS = 2**16 + 1
 
 
 def _antiderivative(f, a: float, b: float):
-    """F(s) = int_a^s f as a vectorised callable: ``chebint`` of the Chebyshev
-    interpolant of f at n + 1 second-kind points on [a, b], its coefficients
-    one DCT-I (an FFT of the mirrored samples); F(b) is the Clenshaw-Curtis
-    value.  n doubles from 32 until the last 8 coefficients are at most
-    CHEB_TOL of the largest.  Raises QuadratureFailure past CHEB_MAX_POINTS
-    and OverflowError on a non-finite sample."""
+    """Chebyshev series, in u = (2s - a - b)/(b - a), of F(s) = int_a^s f:
+    ``chebint`` of f's interpolant at n + 1 second-kind points on [a, b],
+    whose coefficients are one DCT-I (an FFT of the mirrored samples).  F(b)
+    is its sum, as T_k(1) = 1 (the Clenshaw-Curtis value).  n doubles from
+    32 until the last 8 coefficients are at most CHEB_TOL of the largest.
+    Raises QuadratureFailure past CHEB_MAX_POINTS and OverflowError on a
+    non-finite sample."""
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     n = 32
     while n < CHEB_MAX_POINTS:
@@ -43,9 +44,7 @@ def _antiderivative(f, a: float, b: float):
         c = c if np.iscomplexobj(v) else c.real
         c[[0, n]] /= 2
         if np.max(np.abs(c[-8:])) <= CHEB_TOL * np.max(np.abs(c)):
-            ci = chebint(c, lbnd=-1, scl=half)
-            # on an empty interval (half = 0) every s is mid and ci is zero
-            return lambda s: chebval((np.asarray(s) - mid) / (half or 1.0), ci)
+            return chebint(c, lbnd=-1, scl=half)  # all zero on an empty interval (half = 0)
         n *= 2
     raise QuadratureFailure(f"integrand on [{a:.6g}, {b:.6g}] not resolved at the cap of {CHEB_MAX_POINTS} Chebyshev points")
 
@@ -87,9 +86,9 @@ class CoherentEvolution:
         return np.abs(self.amplitudes(n_max)) ** 2
 
     def overlap_with_coherent(self, alpha: complex) -> complex:
-        """<alpha|Psi> for a coherent state alpha (interaction picture)."""
-        g = self.gamma
-        return np.exp(1j * self.beta) * np.exp(-abs(alpha) ** 2 / 2 + np.conj(alpha) * g)
+        """<alpha|Psi> for a coherent state alpha (interaction picture), one
+        exponential of modulus e^{-|gamma - alpha|^2/2} <= 1, so no overflow."""
+        return np.exp(1j * self.beta - abs(alpha) ** 2 / 2 + np.conj(alpha) * self.gamma)
 
     def position_wavefunction(self, x):
         """Wavefunction on a position grid.
@@ -102,9 +101,7 @@ class CoherentEvolution:
         g = self.gamma
         xr, pr = np.sqrt(2) * g.real, np.sqrt(2) * g.imag
         psi = np.pi ** (-0.25) * np.exp(-0.5 * (x - xr) ** 2 + 1j * pr * x - 0.5j * xr * pr)
-        phase = np.exp(1j * self.beta.real)
-        phase *= np.exp(-0.5j * (self.t + self.tau))
-        return phase * psi
+        return np.exp(1j * self.beta.real) * np.exp(-0.5j * (self.t + self.tau)) * psi
 
 
 def evolve_coherent(traj: Trajectory, t: float) -> CoherentEvolution:
@@ -112,37 +109,40 @@ def evolve_coherent(traj: Trajectory, t: float) -> CoherentEvolution:
 
     K(t) = int_{-tau}^t K'(s) ds with K'(s) = x(s) e^{i(s+tau)} / sqrt(2)
     beta(t) = int_{-tau}^t [i K(s) conj(K'(s)) - x(s)^2 / 2] ds
-    both as Chebyshev antiderivatives (``_antiderivative``).
+    K is one Chebyshev series in u (``_antiderivative``); the first term of
+    beta is i int K conj(dK/du) du, exact as the integral of the product
+    series.  Raises OverflowError on a non-finite beta.
     """
     tau = traj.tau
-
-    def dK(s):
-        return traj.x(s) * np.exp(1j * (s + tau)) / np.sqrt(2)
-
-    K = _antiderivative(dK, -tau, t)
-    beta = _antiderivative(lambda s: 1j * K(s) * np.conj(dK(s)) - 0.5 * traj.x(s) ** 2, -tau, t)
-    return CoherentEvolution(K=complex(K(t)), beta=complex(beta(t)), tau=tau, t=t)
+    K = _antiderivative(lambda s: traj.x(s) * np.exp(1j * (s + tau)) / np.sqrt(2), -tau, t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        beta = 1j * chebint(chebmul(K, chebder(K).conj()), lbnd=-1).sum()
+    beta -= _antiderivative(lambda s: 0.5 * traj.x(s) ** 2, -tau, t).sum()
+    if not np.isfinite(beta):
+        raise OverflowError(f"beta is not finite on [{-tau:.6g}, {t:.6g}]")
+    return CoherentEvolution(K=complex(K.sum()), beta=complex(beta), tau=tau, t=t)
 
 
 def kinetic_phase(traj: Trajectory, exact: bool = True) -> float:
     """One-particle transport phase for a round-trip trajectory.
 
-    Exact mode: phase of the overlap of the evolved state with the
-    instantaneous ground state (a Gaussian displaced to x(tau)).
+    Exact mode: the phase Re beta + Im(conj(alpha) gamma), wrapped to
+    (-pi, pi], of the overlap with the instantaneous ground state alpha =
+    x(tau)/sqrt2; it stays finite where the overlap's modulus underflows.
     Approximate mode: (1/2) integral of xdot^2 dt.
     """
     tau = traj.tau
     if not exact:
-        return float(_antiderivative(lambda s: 0.5 * traj.velocity(s) ** 2, -tau, tau)(tau))
-    alpha = float(traj.x(tau)) / np.sqrt(2)
-    return float(np.angle(evolve_coherent(traj, tau).overlap_with_coherent(alpha)))
+        return float(_antiderivative(lambda s: 0.5 * traj.velocity(s) ** 2, -tau, tau).sum())
+    ev, alpha = evolve_coherent(traj, tau), float(traj.x(tau)) / np.sqrt(2)
+    return float(np.angle(np.exp(1j * (ev.beta.real + alpha * ev.gamma.imag))))
 
 
 def adiabaticity_residual(traj: Trajectory):
     """Modulus of int xdot e^{is} ds (units of a0) and the resulting final
     excited-state population 1 - e^{-r^2/2}."""
     tau = traj.tau
-    r = float(abs(_antiderivative(lambda s: traj.velocity(s) * np.exp(1j * s), -tau, tau)(tau)))
+    r = float(abs(_antiderivative(lambda s: traj.velocity(s) * np.exp(1j * s), -tau, tau).sum()))
     return r, float(-np.expm1(-(r**2) / 2.0))
 
 
@@ -208,12 +208,13 @@ def collisional_phase_perturbative(traj1: Trajectory, traj2: Trajectory, a_s: fl
     def shift(s):
         return interaction_shift(traj1.x(s) - traj2.x(s), a_s)
 
-    peak = float(np.max(np.abs(shift(np.linspace(-tau, tau, 2001)))))  # unlike max(), keeps a NaN sample
+    with np.errstate(over="ignore"):  # a separation whose square overflows has zero density
+        peak = float(np.max(np.abs(shift(np.linspace(-tau, tau, 2001)))))  # unlike max(), keeps a NaN sample
     if not peak < 0.5:  # NaN fails too
         raise PerturbationInvalid(f"max |DeltaE| = {peak:.3f} hbar*omega >= 0.5")
     if peak >= 0.1:
         warnings.warn(f"max |DeltaE| = {peak:.3f} hbar*omega above 0.1; phase is perturbative only", stacklevel=2)
-    return float(_antiderivative(shift, -tau, tau)(tau))
+    return float(_antiderivative(shift, -tau, tau).sum())
 
 
 def gate_map(phases: GatePhases):
@@ -280,5 +281,5 @@ def correction_terms(traj: Trajectory, order: int, t: float | None = None) -> Co
             )
             break
     fN = traj.derivative(order)
-    rem = (1j**order) * complex(_antiderivative(lambda s: fN(s) * np.exp(1j * (s + tau)) / np.sqrt(2), -tau, t)(t))
+    rem = (1j**order) * complex(_antiderivative(lambda s: fN(s) * np.exp(1j * (s + tau)) / np.sqrt(2), -tau, t).sum())
     return CorrectionExpansion(boundary_terms=terms, remainder=rem)

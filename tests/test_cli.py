@@ -213,9 +213,10 @@ def test_fidelity_curve_bad_kt_list_exits_2(tmp_path, kt_list):
     assert cli.main(["fidelity-curve", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2
 
 
-# each key takes a value at or past its edges in about one draw of four;
-# the other taus stay at or below 100, where one solve takes well under a
-# second
+# each fidelity-curve key takes a value at or past its edges in about one
+# draw of four; the other taus, and gate-moving's cycles, stay at or below
+# 100, where one solve takes milliseconds (tau=1e4 takes about 1 s, and
+# tau=6e4 about 15 s)
 _EDGES = st.sampled_from([0.0, -1.0, -1e200, 1e-300, 1e200, 1e6, float("nan"), float("inf")])
 _BAD_KTS = st.sampled_from([-1e-9, 10.000001, 1e200, float("nan"), float("inf")])
 
@@ -243,6 +244,62 @@ def test_fidelity_curve_fuzz_exits_0_2_or_3(amplitude_a, amplitude_b, tau, kt_li
         with open(cfgp, "w") as fh:
             json.dump(cfg, fh)
         assert cli.main(["fidelity-curve", "--config", cfgp, "--out", os.path.join(d, "o")]) in (0, 2, 3)
+
+
+def _strict_json(path):
+    # json.loads accepts NaN and Infinity, which are not JSON
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    with open(path) as fh:
+        return json.load(fh, parse_constant=reject)
+
+
+# gate-moving has seven keys, so at most two of them take an edge value,
+# an int one at the bounds of n_samples or one of _EDGES
+_GATE_MOVING_KEYS = {
+    "amplitude": st.floats(-1e4, 1e4),
+    "tau": st.floats(1e-3, 100.0),
+    "cycles": st.floats(1e-3, 100.0),
+    "n_samples": st.integers(1, 20),
+    "separation": st.floats(-1e4, 1e4),
+    "min_distance": st.floats(-1e4, 1e4),
+    "a_s": st.floats(-1.0, 1.0),
+}
+
+
+@given(
+    cfg=st.fixed_dictionaries(_GATE_MOVING_KEYS),
+    edges=st.dictionaries(
+        st.sampled_from(sorted(_GATE_MOVING_KEYS)), st.one_of(_EDGES, st.sampled_from([0, 1, 100_000, 100_001])), max_size=2
+    ),
+)
+@settings(max_examples=40, deadline=None)
+def test_gate_moving_fuzz_exits_0_2_or_3(cfg, edges):
+    with tempfile.TemporaryDirectory() as d:
+        cfgp = os.path.join(d, "c.json")
+        with open(cfgp, "w") as fh:
+            json.dump(dict(cfg, **edges), fh)
+        rc = cli.main(["gate-moving", "--config", cfgp, "--out", os.path.join(d, "o")])
+        assert rc in (0, 2, 3)
+        if rc == 0:
+            _strict_json(os.path.join(d, "o", "summary.json"))
+
+
+@pytest.mark.parametrize(
+    "lines, key",
+    [
+        # |K|^2 / 2 = 1.1e4: the kinetic phase was NaN, read from 0 * inf
+        (["cycles=5.5", "amplitude=37", "tau=19"], "kinetic_phase_exact"),
+        # the squared separation overflowed in the collision check
+        (["separation=1e6", "min_distance=1e200"], "collisional_phase_ab"),
+    ],
+)
+def test_gate_moving_extreme_path_writes_finite_json(tmp_path, lines, key):
+    cfgp = tmp_path / "c.cfg"
+    cfgp.write_text("\n".join(lines) + "\n")
+    assert cli.main(["gate-moving", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 0
+    assert math.isfinite(_strict_json(tmp_path / "o" / "summary.json")[key])
 
 
 def test_fidelity_curve_single_kt(tmp_path):
@@ -418,6 +475,17 @@ def test_unresolvable_path_exits_3(tmp_path, scenario, line):
     proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=20)
     assert proc.returncode == 3
     assert "QuadratureFailure" in proc.stderr and f"cap of {moving.CHEB_MAX_POINTS} " in proc.stderr
+
+
+# both take about 1 s; while beta was a second adaptive fit, of an integrand
+# that read K through a Clenshaw loop, both ran 9 s and then exited 3
+@pytest.mark.parametrize("scenario", ["gate-moving", "fidelity-curve"])
+def test_long_path_resolves(tmp_path, scenario):
+    cfgp = tmp_path / "c.cfg"
+    cfgp.write_text("tau=1e4\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(coldgate.__file__)))
+    argv = [sys.executable, "-m", "coldgate.cli", scenario, "--config", str(cfgp), "--out", str(tmp_path / "o")]
+    assert subprocess.run(argv, env=env, capture_output=True, timeout=20).returncode == 0
 
 
 @pytest.mark.parametrize("content", [None, b"n=4 # \xff\n"], ids=["missing", "not-utf8"])
