@@ -610,7 +610,6 @@ def _scn_gate_switching(cfg, outdir, seed):
         N=cfg["grid_n"],
         L=cfg["grid_l"],
         steps_per_period=cfg["steps_per_period"],
-        sigma_reg=cfg["sigma_reg"],
     )
     stride = -(-len(ser.t) // cfg["max_csv_rows"])  # ceiling: at most max_csv_rows rows
     rows = [
@@ -628,9 +627,9 @@ def _scn_gate_switching(cfg, outdir, seed):
             "tau": ser.tau,
             "perturbative_closed_per_T": pert.closed_form,
             "perturbative_quadrature_per_T": pert.quadrature,
-            "basis_size": ser.basis_size,
-            "solver_iterations": ser.solver_iterations,
-            "tail_weight": ser.tail_weight,
+            "basis_size": len(ser.spectrum.E),
+            "solver_iterations": ser.spectrum.iterations,
+            "tail_weight": ser.spectrum.tail_weight,
             "precheck_delta": ser.precheck_delta,
         },
     )
@@ -754,10 +753,11 @@ def _scn_accept(cfg, outdir, seed):
 # where the library call would not refuse the value itself.  A cap on a size
 # keeps its scenario to seconds: wall time of one process (1.3 s of imports
 # included, 2-core Xeon) with the key at its cap and the other keys at their
-# defaults is n_samples 2.4 s; n_periods 3.4 s, steps_per_period 3.9 s,
-# grid_n 4.4 s, max_csv_rows 1.6 s; lx or ly 2.5 s, n_max 3.9 s.  A pair at
+# defaults is n_samples 2.4 s; lx or ly 2.5 s, n_max 3.9 s.  A pair at
 # their single caps ran 43 s (n_periods, steps_per_period) and 10 s (lx, ly);
 # at the product caps (0.3 s of imports) 6.4-6.6 s and 3.7-8.2 s (lx=ly=64).
+# gate-switching, its spectrum in closed form (0.2 s of imports): n_periods 1.3 s,
+# steps_per_period 1.6 s, grid_n 0.3 s, max_csv_rows 0.4 s, 2.6 s at the product cap.
 SCENARIOS = {
     "gate-moving": (
         _scn_gate_moving,
@@ -766,10 +766,13 @@ SCENARIOS = {
     ),
     "gate-switching": (
         _scn_gate_switching,
-        {"n_periods": 7, "grid_n": 4096, "grid_l": 32.0, "steps_per_period": 4000, "sigma_reg": 0.0176, "max_csv_rows": 2800},
+        {"n_periods": 7, "grid_n": 4096, "grid_l": 32.0, "steps_per_period": 4000, "max_csv_rows": 2800},
         {
             "n_periods": (None, 100),
             "grid_n": (None, 65_536),
+            # past 16,384, 65,536 points are coarser than the 0.25 h_62 needs (at 1e200 x^2
+            # overflowed); at 1e-300 the norm underflowed, and below 12 the box cuts the wells
+            "grid_l": (1.0, 16_384.0),
             "steps_per_period": (None, 100_000),
             "max_csv_rows": (1, 100_000),
             ("n_periods", "steps_per_period"): (None, 1_000_000),

@@ -69,17 +69,14 @@ class CoherentEvolution:
         return 1j * self.K * np.exp(-1j * (self.t + self.tau))
 
     def amplitudes(self, n_max: int):
-        """Oscillator-basis amplitudes c_n, n = 0..n_max."""
+        """Oscillator-basis amplitudes c_n, n = 0..n_max, each one exponential
+        e^{i beta + n log gamma - log(n!)/2} of modulus <= 1: e^{i beta}
+        alone underflows where gamma^n / sqrt(n!) overflows."""
         n = np.arange(n_max + 1)
+        if self.gamma == 0:
+            return np.exp(1j * self.beta) * (n == 0)
         logfact = np.array([math.lgamma(k + 1.0) for k in n])
-        g = self.gamma
-        # gamma^n / sqrt(n!) with care at gamma = 0
-        if g == 0:
-            vals = np.zeros(n_max + 1, dtype=complex)
-            vals[0] = 1.0
-        else:
-            vals = np.exp(n * np.log(complex(g)) - 0.5 * logfact)
-        return np.exp(1j * self.beta) * vals
+        return np.exp(1j * self.beta + n * np.log(self.gamma) - 0.5 * logfact)
 
     def occupation(self, n_max: int):
         """|c_n|^2; Poisson in |K|^2."""

@@ -4,28 +4,29 @@ The barrier of a state-selective double well is switched off for state b;
 the two b atoms oscillate through each other and accumulate an interaction
 phase.  Center-of-mass motion, like that of one released b atom, is
 analytic (``cm_overlap_complex``).  The relative coordinate carries a
-regularized contact term; ``propagate`` evolves it exactly in time in the
-lowest even eigenpairs of the periodic grid Hamiltonian, and its g=0
-reference in those of the oscillator, the even Hermite functions in closed
-form.  On even functions the grid's FFT kinetic energy is a DCT-I, so a
-block LOBPCG finds the interacting pairs without forming a matrix, and the
-resolution precheck repeats the solve on the 2N grid, warm-started from the
-N eigenvectors.  The series keeps the spectrum, so every (b,b) value read
-between samples, the revival peaks included, is the exact one at its t.
-The (a,b) channel needs the full 2D two-particle grid and does not revive.
+contact term g delta(x); ``propagate`` evolves it exactly in time in the
+lowest even eigenpairs of that Hamiltonian, in closed form (Busch et al.
+1998, in 1D: one bisection per level on ``math.lgamma``, eigenvectors in
+the oscillator's even Hermite functions, which are also its g=0
+reference).  Only the overlaps of the initial state with those functions
+need a grid; the resolution precheck repeats the solve on 2N points with
+twice the levels.  The series keeps the spectrum, so every (b,b) value
+read between samples, the revival peaks included, is exact at its t.  The
+(a,b) channel needs the full 2D two-particle grid and does not revive.
 
-The other grid propagations, ``propagate_ab``, ``_release_amplitudes`` and
-the transport oracle of ``cli``, run through one split-step kernel,
-``_split_step``, which is also the test oracle of the spectral (b,b) series.
-It advances a stacked batch of wavefunctions, shape (k, N) or (k, N, N), in
-place with one ``numpy.fft`` transform pair per substep for the whole batch.
-The release and the transport oracle compose the Strang step to fourth
-order (``_SUZUKI``), so the kernel cycles through the kinetic factors of the
-composition's stages, and the caller supplies each substep's half kick.
+The grid propagations, ``propagate_ab``, ``_release_amplitudes`` and the
+transport oracle of ``cli``, share one split-step kernel, ``_split_step``:
+it advances a stacked batch of wavefunctions, shape (k, N) or (k, N, N),
+in place with one ``numpy.fft`` transform pair per substep for the whole
+batch.  The release and the transport oracle compose the Strang step to
+fourth order (``_SUZUKI``), so the kernel cycles through the kinetic
+factors of the composition's stages, and the caller supplies each
+substep's half kick.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 from itertools import cycle
 
 import numpy as np
@@ -211,9 +212,6 @@ class SwitchTimeSeries:
     tau: float
     revival_times: np.ndarray
     spectrum: _BBSpectrum
-    basis_size: int
-    solver_iterations: int
-    tail_weight: float
     precheck_delta: float | None
     phase_final: float = np.nan
     revival: float = np.nan
@@ -240,63 +238,11 @@ def _bb_initial_state(cfg: SwitchingConfig, x):
     return g, r0
 
 
-# The (b,b) channel in the lowest even eigenpairs of the grid Hamiltonian
-BLOCK_SIZE = 40  # LOBPCG block, started from the even Hermite functions h_0 .. h_78
-BASIS_SIZE = 32  # lowest pairs that must converge; they carry the time evolution
-RESIDUAL_TOL = 1e-11  # residual bound, relative to k_max^2/2 + max V
-GRAM_DROP = 1e-12  # Gram eigenvalue below which a new direction is dropped
-MAX_ITERATIONS = 100
+# The (b,b) channel in the lowest even eigenpairs of the contact Hamiltonian
+BASIS_SIZE = 32  # lowest pairs that carry the time evolution; the precheck takes twice as many
+BOUND_G_MIN = -1e4  # most attractive contact whose bound state keeps its overlaps to 1e-7
 SERIES_CHUNK = 1024  # samples per chunk of the amplitude series
 NEWTON_STEPS = 4  # from a sampled maximum 0.03 off at 100 samples per period, 3 land within 1e-14
-
-
-class _EvenSector:
-    """The even functions of a periodic grid, held as their values u at
-    x = 0, dx, ..., L/2 (N/2 + 1 points) and handled in the coordinates
-    y = w u, w = sqrt(dx) (1, sqrt 2, ..., sqrt 2, 1), in which the grid
-    norm is the Euclidean one.  On this subspace the FFT kinetic energy is
-    a DCT-I, T u = idct(k^2/2 dct(u)) with k = 2 pi q / L, q = 0 .. N/2.
-    Blocks of vectors are rows, shape (m, N/2 + 1)."""
-
-    def __init__(self, grid: TwoParticleGrid):
-        if grid.N % 2:
-            raise ValidationError(f"the (b,b) grid needs an even N, got N={grid.N}")
-        n = grid.N // 2 + 1
-        self.x = grid.dx * np.arange(n)
-        self.w = np.full(n, np.sqrt(2 * grid.dx))
-        self.w[[0, -1]] = np.sqrt(grid.dx)
-        self.kinetic = 0.5 * (2 * np.pi / grid.L * np.arange(n)) ** 2
-        # the even mirrors of BLOCK_SIZE rows and their spectra, reused by
-        # every dct_diagonal call so that it allocates nothing
-        self._mirror = np.empty((BLOCK_SIZE, grid.N))
-        self._spec = np.empty((BLOCK_SIZE, n), dtype=complex)
-
-    def dct_diagonal(self, Y, factor):
-        """The operator that multiplies DCT-I coefficients by ``factor``,
-        applied in place to the rows of Y, or to Y if it is one vector;
-        returns Y.  Runs BLOCK_SIZE rows at a time through ``_dct1`` in the
-        sector's two buffers."""
-        rows = Y[None] if Y.ndim == 1 else Y
-        for s in range(0, len(rows), BLOCK_SIZE):
-            block = rows[s : s + BLOCK_SIZE]
-            mirror, spec = self._mirror[: len(block)], self._spec[: len(block)]
-            block /= self.w
-            np.multiply(_dct1(block, mirror, spec), factor, out=block)
-            np.multiply(_dct1(block, mirror, spec, "forward"), self.w, out=block)
-        return Y
-
-
-def _dct1(Y, mirror=None, spec=None, norm=None):
-    """The DCT-I of the rows of Y, shape (m, n), as the real part of the
-    rfft of their even mirrors [y, y[n-2:0:-1]] (a view of the spectrum);
-    with norm="forward" the inverse, the transform divided by 2 (n - 1).
-    The mirrors and the spectrum go to ``mirror`` and ``spec`` if given."""
-    n = Y.shape[1]
-    if mirror is None:
-        mirror = np.empty((len(Y), 2 * (n - 1)))
-    mirror[:, :n] = Y
-    mirror[:, n:] = Y[:, n - 2 : 0 : -1]
-    return np.fft.rfft(mirror, norm=norm, out=spec).real
 
 
 def _even_hermite(x, count):
@@ -311,109 +257,82 @@ def _even_hermite(x, count):
     return out
 
 
-def _dct_interpolate(U, n):
-    """Rows of even grid functions at x = 0 .. L/2, Fourier-interpolated to
-    n > U.shape[1] points on the same interval by a zero-padded DCT-I."""
-    m = U.shape[1]
-    coef = np.zeros((len(U), n))
-    coef[:, :m] = _dct1(U)
-    coef[:, m - 1] *= 0.5  # the old Nyquist term is an interior one now
-    return _dct1(coef, norm="forward") * ((n - 1) / (m - 1))
+def _digamma(x):
+    """The digamma function psi at the points x > 0: the recurrence
+    psi(x) = psi(x + 1) - 1/x up to x >= 16, then the asymptotic series
+    log x - 1/(2x) - sum_k B_2k / (2k x^2k) to x^-12, whose next term is
+    below 1e-17 there."""
+    x = np.array(x, dtype=float)
+    out = np.zeros_like(x)
+    while np.any(small := x < 16):
+        out[small] -= 1 / x[small]
+        x[small] += 1
+    z = 1 / x**2
+    series = z * (1 / 12 - z * (1 / 120 - z * (1 / 252 - z * (1 / 240 - z * (1 / 132 - z * 691 / 32760)))))
+    return out + np.log(x) - 0.5 / x - series
 
 
-def _start_block(sector: _EvenSector, start=None):
-    """Orthonormal rows, in y coordinates, spanning the even Hermite
-    functions h_0 .. h_{2 BLOCK_SIZE - 2} or, if given, the rows of
-    ``start``: grid values at x = 0 .. L/2 on a coarser grid of the same L."""
-    rows = _even_hermite(sector.x, BLOCK_SIZE) if start is None else _dct_interpolate(start, sector.x.size)
-    rows *= sector.w
-    return _new_directions(rows)
+def _contact_levels(g, count):
+    """The lowest ``count`` even levels of H = -(1/2) d^2/dx^2 + x^2/2 +
+    g delta(x), g != 0, in closed form (Busch, Englert, Rzazewski & Wilkens,
+    Found. Phys. 28, 549 (1998), in 1D).  The level E = 2 nu + 1/2 + 2 eps
+    solves S(E) = sum_m h_2m(0)^2 / (E0_m - E) = -1/g, that is tan(pi eps)
+    Gamma(nu + 1 + eps) / Gamma(nu + 1/2 + eps) = g/2 with eps in (0, 1/2)
+    for g > 0 and in (-1/2, 0) for g < 0; the bound state of g < 0 solves
+    Gamma(eta + 1/2) / Gamma(eta) = |g|/2 for eta = -eps, which Wendel's
+    bounds place in [g^2/4, g^2/4 + 1/2].  Each level is one bisection on
+    ``math.lgamma``, to adjacent doubles.
 
-
-def _new_directions(Z, X=None):
-    """The rows of Z, each scaled to norm 1, made orthonormal and orthogonal
-    to the orthonormal rows X, if given.  Twice: project off X, then
-    orthonormalise by an eigh of the Gram matrix, dropping the directions
-    whose Gram eigenvalue is below GRAM_DROP, which lay in the span of X or
-    of the other rows to within rounding.  Z itself is overwritten."""
-    Z /= np.maximum(np.linalg.norm(Z, axis=1, keepdims=True), np.finfo(float).tiny)
-    for _ in range(2):
-        if X is not None:
-            Z -= (Z @ X.T) @ X
-        lam, U = np.linalg.eigh(Z @ Z.T)
-        keep = lam > GRAM_DROP
-        Z = (U[:, keep] / np.sqrt(lam[keep])).T @ Z
-    return Z
-
-
-def _lowest_eigenpairs(sector: _EvenSector, V, S):
-    """The lowest eigenpairs of H = T + V on the even sector, by block
-    LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 517 (2001)) from the
-    orthonormal rows S (y coordinates), preconditioned by (T + theta_max)^-1
-    with theta_max the block's highest Ritz value.
-
-    Returns the Ritz values and vectors of the block, ascending, the
-    vectors as rows in y coordinates, and the number of iterations.  Raises
-    ``ConvergenceFailure`` if the lowest BASIS_SIZE residual norms are not
-    all below RESIDUAL_TOL (k_max^2/2 + max V) after MAX_ITERATIONS.
+    Returns eps, the norms 1/sqrt(S'(E)) of the eigenvectors, whose
+    overlaps are <h_2m|phi_nu> = h_2m(0) / ((E0_m - E_nu) sqrt(S'(E_nu))),
+    and the bisection steps.  A norm is |sin pi eps| sqrt(4 R / (pi +
+    sin(pi eps) cos(pi eps) (psi(nu + 1 + eps) - psi(nu + 1/2 + eps)))), R
+    the Gamma ratio, or sqrt(2|g| / (psi(eta + 1/2) - psi(eta))) for the
+    bound state: finite at any g, where S' grows as 1/g^2.
     """
+    log_half_g, sign = math.log(abs(g) / 2), math.copysign(1.0, g)
+    eta, steps = np.empty(count), 0
+    for nu in range(count):
+        if nu == 0 and g < 0:
+            lo, hi = g * g / 4, g * g / 4 + 0.5
 
-    def apply_h(Y):
-        HY = sector.dct_diagonal(Y.copy(), sector.kinetic)
-        HY += V * Y
-        return HY
+            def f(e):
+                return math.lgamma(e + 0.5) - math.lgamma(e)
+        else:
+            lo, hi = 0.0, 0.5
 
-    want = min(BASIS_SIZE, V.size)
-    tol = RESIDUAL_TOL * (sector.kinetic[-1] + np.max(V))
-    # S: the previous block's k rows, then the new directions.  Each array
-    # is dropped as soon as it is done with, to keep the peak memory low.
-    HS, k = apply_h(S), len(S)
-    for iteration in range(MAX_ITERATIONS + 1):
-        theta, C = np.linalg.eigh(S @ HS.T)
-        m = min(BLOCK_SIZE, len(S))
-        theta, C = theta[:m], C[:, :m]
-        HX = C.T @ HS
-        del HS
-        X = C.T @ S
-        R = X * -theta[:, None]
-        R += HX
-        res = np.sqrt(np.einsum("ij,ij->i", R, R))
-        if not np.any(res[:want] > tol):
-            return theta, X, iteration
-        active = res > tol
-        P = C[k:, active].T @ S[k:]  # the active rows' part outside the old block
-        del S
-        W = sector.dct_diagonal(R[active], 1.0 / (sector.kinetic + theta[-1]))
-        del R
-        Z = np.vstack([W, P])
-        del W, P
-        Z = _new_directions(Z, X)
-        HS = np.vstack([HX, apply_h(Z)])
-        del HX
-        S, k = np.vstack([X, Z]), m
-        del Z
-    unconverged = int(np.sum(res[:want] > tol))
-    raise ConvergenceFailure(
-        f"eigensolve: {unconverged} of the lowest {want} residuals above {tol:.2e} after {MAX_ITERATIONS} iterations"
-    )
+            def f(e, nu=nu):
+                return math.log(math.tan(math.pi * e)) + math.lgamma(nu + 1 + sign * e) - math.lgamma(nu + 0.5 + sign * e)
+
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            lo, hi = (lo, mid) if f(mid) > log_half_g else (mid, hi)
+            steps += 1
+        eta[nu] = hi
+    eps, nu = sign * eta, np.arange(count)
+    k = int(g < 0)  # the bound state, if any, is level 0
+    e, v = eps[k:], nu[k:]
+    s, c = np.sin(np.pi * e), np.cos(np.pi * e)
+    ratio = np.exp([math.lgamma(n + 1 + x) - math.lgamma(n + 0.5 + x) for n, x in zip(v, e)])
+    norm = np.empty(count)
+    norm[k:] = np.abs(s) * np.sqrt(4 * ratio / (np.pi + s * c * (_digamma(v + 1 + e) - _digamma(v + 0.5 + e))))
+    if k:
+        norm[0] = np.sqrt(2 * abs(g)) / np.sqrt(_digamma(eta[0] + 0.5) - _digamma(eta[0]))  # one root underflows at tiny g
+    return eps, norm, steps
 
 
 @dataclass(frozen=True)
 class _BBSpectrum:
-    """The (b,b) state psi0 in the lowest even eigenpairs of the interacting
-    grid Hamiltonian (energies E, amplitudes c_n = <phi_n|psi0>) and of its
-    g=0 reference, the oscillator's h_0, h_2, .. (E0 = 2m + 1/2, d_m =
-    <chi_m|psi0>), with overlaps O = <chi_m|phi_n>.  ``vectors`` is the
-    interacting solve's whole block as grid values at x = 0 .. L/2, which
-    warm-starts the precheck and is not kept in the series (None there);
-    ``iterations`` counts the LOBPCG iterations of the interacting solve."""
+    """The (b,b) state psi0 in the lowest even eigenpairs of the contact
+    Hamiltonian (energies E, amplitudes c_n = <phi_n|psi0>) and of its g=0
+    reference, the oscillator's h_0, h_2, .. (E0 = 2m + 1/2, d_m =
+    <h_2m|psi0>), with overlaps O = <h_2m|phi_n>; ``iterations`` counts the
+    bisection steps of the levels."""
 
     E: np.ndarray
     c: np.ndarray
     E0: np.ndarray
     d: np.ndarray
     O: np.ndarray
-    vectors: np.ndarray | None
     iterations: int
 
     @property
@@ -452,27 +371,31 @@ class _BBSpectrum:
         return tp
 
 
-def _bb_spectrum(cfg: SwitchingConfig, grid: TwoParticleGrid, g_tilde, sigma_reg, start=None) -> _BBSpectrum:
-    """``_BBSpectrum`` on ``grid``.  The interacting solve starts from
-    ``start``, eigenvectors of a coarser grid of the same L as values at
-    x = 0 .. L/2, or else from the even Hermite functions, which are also,
-    in closed form, the g=0 reference.  A non-finite potential makes every
-    field NaN, which fails the checks downstream."""
-    sector = _EvenSector(grid)
-    x = sector.x
-    V = 0.5 * x**2 + g_tilde * _regularized_delta(x, sigma_reg)
-    if not np.all(np.isfinite(V)):
-        nan = np.full(BASIS_SIZE, np.nan)
-        return _BBSpectrum(nan, nan, nan, nan, np.outer(nan, nan), np.full((BLOCK_SIZE, x.size), np.nan), 0)
+def _bb_spectrum(cfg: SwitchingConfig, grid: TwoParticleGrid, g_tilde, size=BASIS_SIZE) -> _BBSpectrum:
+    """``_BBSpectrum`` of the lowest ``size`` even levels of the contact
+    Hamiltonian, in closed form (``_contact_levels``).  The overlaps d_m
+    are the trapezoid rule of the periodic ``grid`` for the even integrand
+    on x = 0 .. L/2, so N must be even; c = O^T d.  g=0 gives O = I, and a
+    non-finite g makes every field NaN, which fails the checks downstream."""
+    if grid.N % 2:
+        raise ValidationError(f"the (b,b) quadrature grid needs an even N, got N={grid.N}")
+    if g_tilde < BOUND_G_MIN:
+        raise ValidationError(f"contact g = {g_tilde:.3g} binds a state near -g^2/2: need g >= {BOUND_G_MIN:g}")
+    x = grid.dx * np.arange(grid.N // 2 + 1)
+    w = np.full(x.size, 2 * grid.dx)
+    w[[0, -1]] = grid.dx
     u0, _ = _bb_initial_state(cfg, x)
-    y0 = sector.w * u0
-    y0 /= np.linalg.norm(y0)
-    E, X, iterations = _lowest_eigenpairs(sector, V, _start_block(sector, start))
-    n = min(BASIS_SIZE, len(E))
-    phi, chi = X[:n], sector.w * _even_hermite(x, n)
-    return _BBSpectrum(
-        E=E[:n], c=phi @ y0, E0=2 * np.arange(n) + 0.5, d=chi @ y0, O=chi @ phi.T, vectors=X / sector.w, iterations=iterations
-    )
+    u0 /= np.sqrt(w @ u0**2)
+    E0 = 2 * np.arange(size) + 0.5
+    d = _even_hermite(x, size) @ (w * u0)
+    if not np.isfinite(g_tilde):
+        nan = np.full(size, np.nan)
+        return _BBSpectrum(nan, nan, E0, d, np.outer(nan, nan), 0)
+    if g_tilde == 0:
+        return _BBSpectrum(E0, d, E0, d, np.eye(size), 0)
+    eps, norm, steps = _contact_levels(g_tilde, size)
+    O = _even_hermite(np.zeros(1), size) * norm / (E0[:, None] - E0 - 2 * eps)  # rows h_2m(0) norm_nu / (E0_m - E_nu)
+    return _BBSpectrum(E=E0 + 2 * eps, c=O.T @ d, E0=E0, d=d, O=O, iterations=steps)
 
 
 def propagate(
@@ -482,7 +405,6 @@ def propagate(
     N: int = 4096,
     L: float = 32.0,
     steps_per_period: int = 100,
-    sigma_reg: float = 0.0176,
     check_convergence: bool = True,
 ) -> SwitchTimeSeries:
     """Evolve the (b,b) channel through ``n_periods`` oscillations.
@@ -490,26 +412,29 @@ def propagate(
     Only the relative coordinate is evolved (the CM motion is analytic),
     side by side with a g=0 reference, both exactly in time: the initial
     state is expanded in the lowest BASIS_SIZE even eigenpairs of the
-    periodic grid Hamiltonian of N points (N must be even) and length L
-    with the interacting potential, and in the oscillator's even
-    eigenfunctions h_0 .. h_62, known in closed form, for the reference.
-    Returns the phase relative to the reference and the overlaps, sampled
-    ``steps_per_period`` times a period, with the spectrum, which gives
-    them exactly at any t.  The revival near each k T is the maximum of
-    |<psi0|psi(t)>|^2 found by Newton's method from the sampled one; a fit
-    through them gives the revival period shift deltaT, and tau =
-    n_periods (T + deltaT).  So ``steps_per_period`` sets only the written
-    samples, the start of each Newton search and the 2 pi branch of
-    ``phase_at``; the default 100 gives the reads of 4000 to within 1e-13.
+    oscillator with the contact interaction g delta(x), known in closed
+    form (``_contact_levels``), and in the oscillator's even
+    eigenfunctions h_0 .. h_62 for the reference.  Its overlaps with the
+    h_2m are the trapezoid rule on the periodic grid of N points (N must
+    be even) and length L.  Returns the phase relative to the reference
+    and the overlaps, sampled ``steps_per_period`` times a period, with
+    the spectrum, which gives them exactly at any t.  The revival near
+    each k T is the maximum of |<psi0|psi(t)>|^2 found by Newton's method
+    from the sampled one; a fit through them gives the revival period
+    shift deltaT, and tau = n_periods (T + deltaT).  So
+    ``steps_per_period`` sets only the written samples, the start of each
+    Newton search and the 2 pi branch of ``phase_at``; the default 100
+    gives the reads of 4000 to within 1e-13.
 
-    ``NormLoss`` is raised when the norm of the initial state in either
-    basis is more than 1e-6 from 1, as on a grid too short or too coarse
-    to hold h_62.  With ``check_convergence`` the phase after one
-    period must agree within 1e-3 rad with the same solve on a grid of 2N
-    points, or ``ConvergenceFailure`` is raised; so is an eigensolve that
-    does not converge.  The (a,b) channel needs the 2D grid of
-    ``propagate_ab``, and the (a,a) channel has no dynamics: both raise
-    ``ValidationError``, as does an odd N.
+    With ``check_convergence`` the phase after one period must agree
+    within 1e-3 rad with the same solve on 2N points and with
+    2 BASIS_SIZE levels, which bounds both truncations, or
+    ``ConvergenceFailure`` is raised.  ``NormLoss`` is raised when the
+    norm of the initial state in either basis is more than 1e-6 from 1,
+    as on a grid too short or too coarse to hold h_62.  The (a,b) channel
+    needs the 2D grid of ``propagate_ab``, and the (a,a) channel has no
+    dynamics: both raise ``ValidationError``, as do an odd N and a contact
+    below BOUND_G_MIN.
     """
     channel = tuple(channel)
     if channel in (("a", "b"), ("b", "a")):
@@ -520,8 +445,6 @@ def propagate(
         raise ValidationError("n_periods must be >= 1")
     if steps_per_period < 1:
         raise ValidationError(f"steps_per_period must be >= 1, got {steps_per_period!r}")
-    if not (np.isfinite(sigma_reg) and sigma_reg > 0):
-        raise ValidationError(f"sigma_reg must be finite and > 0, got {sigma_reg!r}")
 
     period = 2 * np.pi
     dt = period / steps_per_period
@@ -529,17 +452,17 @@ def propagate(
 
     a_r = np.sqrt(HBAR / (cfg.mass / 2.0 * cfg.omega))
     g_tilde = cfg.g1d("bb") / (HBAR * cfg.omega * a_r)
-    spec = _bb_spectrum(cfg, grid, g_tilde, sigma_reg)
+    spec = _bb_spectrum(cfg, grid, g_tilde)
 
     n_steps = int(round((n_periods + 0.1) * steps_per_period))
     t = np.arange(n_steps + 1) * dt
     precheck_delta = None
     if check_convergence:
         p1 = float(-np.angle(spec.amplitudes(t[steps_per_period : steps_per_period + 1])[1, 0]))
-        p2 = _propagate_bb_once(cfg, TwoParticleGrid(L=L, N=2 * N, dt=dt), g_tilde, sigma_reg, 1, steps_per_period, spec.vectors)
+        p2 = _propagate_bb_once(cfg, TwoParticleGrid(L=L, N=2 * N, dt=dt), g_tilde, 1, steps_per_period)
         precheck_delta = abs(p1 - p2)
         if not precheck_delta <= 1e-3:  # NaN fails too
-            raise ConvergenceFailure(f"phase changes by {precheck_delta:.2e} rad when halving dx")
+            raise ConvergenceFailure(f"phase changes by {precheck_delta:.2e} rad on 2N points with {2 * BASIS_SIZE} levels")
 
     if not spec.tail_weight <= 1e-6:
         raise NormLoss(
@@ -563,10 +486,7 @@ def propagate(
         deltaT=deltaT,
         tau=n_periods * (period + deltaT),
         revival_times=peaks,
-        spectrum=replace(spec, vectors=None),  # only the precheck needs the eigenvectors
-        basis_size=len(spec.E),
-        solver_iterations=spec.iterations,
-        tail_weight=spec.tail_weight,
+        spectrum=spec,
         precheck_delta=precheck_delta,
     )
     ser.phase_final = ser.phase_at(ser.tau)
@@ -574,11 +494,11 @@ def propagate(
     return ser
 
 
-def _propagate_bb_once(cfg, grid, g_tilde, sigma_reg, n_periods, steps_per_period, start=None):
-    """The (b,b) phase after ``n_periods`` periods from the spectral solve
-    on ``grid`` (used by the resolution precheck); ``start`` warm-starts the
-    interacting solve, as for ``_bb_spectrum``."""
-    spec = _bb_spectrum(cfg, grid, g_tilde, sigma_reg, start)
+def _propagate_bb_once(cfg, grid, g_tilde, n_periods, steps_per_period):
+    """The (b,b) phase after ``n_periods`` periods from the closed form
+    with 2 BASIS_SIZE levels and overlaps on ``grid`` (the resolution
+    precheck)."""
+    spec = _bb_spectrum(cfg, grid, g_tilde, 2 * BASIS_SIZE)
     t = np.array([n_periods * steps_per_period * grid.dt])
     return float(-np.angle(spec.amplitudes(t)[1, 0]))
 

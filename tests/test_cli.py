@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -115,20 +116,14 @@ def test_nonconvergent_grid_exits_3(tmp_path):
     assert rc == 3
 
 
-def test_eigensolve_at_iteration_cap_exits_3(tmp_path, monkeypatch):
-    monkeypatch.setattr(switching, "MAX_ITERATIONS", 1)
-    cfgp = tmp_path / "c.cfg"
-    cfgp.write_text("n_periods=1\n")
-    assert cli.main(["gate-switching", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 3
-
-
 def test_gate_switching_summary_reports_solver(tmp_path):
     cfgp = tmp_path / "c.cfg"
     cfgp.write_text("grid_n=2048\nsteps_per_period=200\nn_periods=1\n")
     assert cli.main(["gate-switching", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 0
     summary = json.loads((tmp_path / "o" / "summary.json").read_text())
     assert summary["basis_size"] == switching.BASIS_SIZE
-    assert 0 < summary["solver_iterations"] < switching.MAX_ITERATIONS
+    # bisection steps, one level at a time to adjacent doubles
+    assert switching.BASIS_SIZE <= summary["solver_iterations"] <= 64 * switching.BASIS_SIZE
     assert abs(summary["tail_weight"]) <= 1e-6
     assert 0 <= summary["precheck_delta"] <= 1e-3
 
@@ -286,6 +281,70 @@ def test_gate_moving_fuzz_exits_0_2_or_3(cfg, edges):
             _strict_json(os.path.join(d, "o", "summary.json"))
 
 
+# gate-switching keys: small values, or at most two at an edge of
+# cli.SCENARIOS' bounds (at, below and above each cap) or a bad value
+_, _, _SWITCHING_BOUNDS = cli.SCENARIOS["gate-switching"]
+_GATE_SWITCHING_KEYS = {
+    "n_periods": st.integers(1, 3),
+    "grid_n": st.integers(8, 512).map(lambda n: 2 * n),
+    "grid_l": st.floats(4.0, 64.0),
+    "steps_per_period": st.integers(1, 200),
+    "max_csv_rows": st.integers(1, 50),
+}
+_GATE_SWITCHING_EDGES = {
+    key: st.sampled_from(sorted({v for b in _SWITCHING_BOUNDS[key] if b is not None for v in (b - 1, b, b + 1)} | {0, -1}))
+    for key in ("n_periods", "grid_n", "steps_per_period", "max_csv_rows")
+}
+_GATE_SWITCHING_EDGES["grid_n"] = st.one_of(_GATE_SWITCHING_EDGES["grid_n"], st.sampled_from([16, 17, 64, 4097]))
+_GATE_SWITCHING_EDGES["grid_l"] = st.one_of(_EDGES, st.sampled_from([0.99, 1.0, 16_384.0, 16_385.0]))
+
+
+@given(
+    cfg=st.fixed_dictionaries(_GATE_SWITCHING_KEYS),
+    edges=st.lists(st.sampled_from(sorted(_GATE_SWITCHING_EDGES)), max_size=2, unique=True).flatmap(
+        lambda keys: st.fixed_dictionaries({k: _GATE_SWITCHING_EDGES[k] for k in keys})
+    ),
+)
+@settings(max_examples=40, deadline=None)
+def test_gate_switching_fuzz_exits_0_2_or_3(cfg, edges):
+    with tempfile.TemporaryDirectory() as d:
+        cfgp = os.path.join(d, "c.json")
+        with open(cfgp, "w") as fh:
+            json.dump(dict(cfg, **edges), fh)
+        rc = cli.main(["gate-switching", "--config", cfgp, "--out", os.path.join(d, "o")])
+        assert rc in (0, 2, 3)
+        if rc == 0:
+            _strict_json(os.path.join(d, "o", "summary.json"))
+
+
+def test_gate_switching_sigma_reg_is_no_key(tmp_path, capsys):
+    # the contact term is a delta in closed form, so its old width is refused
+    cfgp = tmp_path / "c.cfg"
+    cfgp.write_text("sigma_reg=0.0176\n")
+    assert cli.main(["gate-switching", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2
+    assert "unknown config keys: sigma_reg" in capsys.readouterr().err
+
+
+# g = 0 to rounding (+-1e-300), a perturbation, a hard core and a bound state
+# beyond switching.BOUND_G_MIN: each fails the gate (1) with no warning
+@pytest.mark.parametrize("g_scale", [1e-300, -1e-300, 1e-12, 1e300, -1e300])
+def test_accept_extreme_g_scale_fails_the_phase(tmp_path, g_scale):
+    cfgp = tmp_path / "c.cfg"
+    cfgp.write_text(f"only=switching-phase\ntamper_g_scale={g_scale!r}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["accept", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 1
+
+
+def test_gate_switching_output_does_not_depend_on_seed(tmp_path):
+    outs = []
+    for seed in ("0", "1"):
+        out = tmp_path / seed
+        assert cli.main(["gate-switching", "--out", str(out), "--seed", seed]) == 0
+        outs.append([(out / name).read_bytes() for name in ("summary.json", "switching_timeseries.csv")])
+    assert outs[0] == outs[1]
+
+
 @pytest.mark.parametrize(
     "lines, key",
     [
@@ -370,10 +429,14 @@ def test_qc_bad_input_exits_2(tmp_path, scenario, lines):
         ("gate-switching", "steps_per_period=0"),
         ("gate-switching", "max_csv_rows=0"),
         ("gate-switching", "max_csv_rows=-1"),
+        # the contact term is a delta in closed form: sigma_reg is no key now
         ("gate-switching", "sigma_reg=0"),
         ("gate-switching", "sigma_reg=NaN"),
         ("gate-switching", "grid_l=NaN"),
-        ("gate-switching", "grid_n=4097"),  # the even sector needs an even N
+        # squares of the grid points overflowed, and the state's norm underflowed
+        ("gate-switching", "grid_l=1e200"),
+        ("gate-switching", "grid_l=1e-300"),
+        ("gate-switching", "grid_n=4097"),  # the quadrature on x = 0 .. L/2 needs an even N
         ("gate-moving", "a_s=100"),  # outside the perturbative model
         ("gate-moving", "a_s=NaN"),  # was written into summary.json
         ("gate-moving", "a_s=Infinity"),

@@ -160,6 +160,21 @@ def test_evolution_amplitudes_match_gammaln_form():
     assert np.max(np.abs(ev.amplitudes(60) - expected)) <= 1e-14
 
 
+def test_evolution_amplitudes_stay_finite_on_a_long_drag():
+    # |K|^2 = 2.2e4: e^{i beta} underflowed where gamma^n / sqrt(n!) overflowed,
+    # and amplitudes(1000) held 739 NaN entries; each c_n is one exponential now
+    traj = traps.sine_squared_path(37.0, 19.0, 5.5)
+    ev = moving.evolve_coherent(traj, traj.tau)
+    assert not np.any(np.isnan(ev.amplitudes(1000)))
+    # |c_n|^2 is the Poisson pmf in |K|^2, here read out to well past its mean
+    k2 = abs(ev.K) ** 2
+    n = np.arange(30_001)
+    log_pmf = n * np.log(k2) - k2 - gammaln(n + 1.0)
+    occ = ev.occupation(30_000)
+    assert np.allclose(occ, np.exp(log_pmf), rtol=1e-9, atol=1e-300)
+    assert float(np.sum(occ)) == pytest.approx(1.0, abs=1e-9)
+
+
 def test_gaussian_density_product_against_quadrature():
     sep, w1, w2 = 1.3, 0.8, 1.4
 

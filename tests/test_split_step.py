@@ -4,16 +4,15 @@ Each reference below advances one wavefunction at a time with
 exp(-i dt V/2) exp(-i dt k^2/2) exp(-i dt V/2) and numpy's FFT; the
 transport and release references compose these steps as their fourth-order
 kernels do.  The kernel fuses kicks, stacks states and transforms in place,
-so it agrees only to rounding.  The (b,b) channel is evolved exactly in
-time in the grid Hamiltonian's eigenbasis, so there the naive loop must
-converge to it as dt^2.
+so it agrees only to rounding.  On the (b,b) channel the naive loop must
+converge as dt^2 to the series of the smeared-contact grid Hamiltonian's
+dense eigenbasis, which is exact in time, and that grid's ground state to
+the closed form of ``switching`` as the contact's width goes to 0.
 """
 
-import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import fft as sfft
 
 from coldgate import cli, moving, switching, traps
 from coldgate.traps import HBAR
@@ -162,13 +161,17 @@ def test_default_transport_oracle_is_within_its_budget():
     assert np.max(np.abs(1 - coarse)) <= 1e-8
 
 
+def _g_tilde(cfg):
+    return cfg.g1d("bb") / (HBAR * cfg.omega * np.sqrt(HBAR / (cfg.mass / 2 * cfg.omega)))
+
+
 def _bb_reference(cfg, N, L, steps_per_period, n_periods, sigma_reg=0.0176):
     """<psi0|psi>, <ref|psi> at every step, and the contact strength g."""
     dt = 2 * np.pi / steps_per_period
     dx = L / N
     x = (np.arange(N) - N // 2) * dx
     k = 2 * np.pi * np.fft.fftfreq(N, d=dx)
-    g = cfg.g1d("bb") / (HBAR * cfg.omega * np.sqrt(HBAR / (cfg.mass / 2 * cfg.omega)))
+    g = _g_tilde(cfg)
     psi0, _ = switching._bb_initial_state(cfg, x)
     V0 = 0.5 * x**2
     V = V0 + g * np.exp(-(x**2) / (2 * sigma_reg**2)) / (sigma_reg * np.sqrt(2 * np.pi))
@@ -182,83 +185,98 @@ def _bb_reference(cfg, N, L, steps_per_period, n_periods, sigma_reg=0.0176):
     return np.asarray(a_init), np.asarray(a_ref), g
 
 
+def _even_grid_hamiltonian(N, L, V):
+    """H = T + V(x) on the even functions of the periodic grid of N points
+    and length L, as a dense matrix in the coordinates sqrt(w) u of their
+    values u at x = 0 .. L/2, w the trapezoid weights (2 dx, dx at the
+    ends), in which the grid norm is the Euclidean one.  On even functions
+    the FFT kinetic energy is a DCT-I: u = sum_q a_q U_q cos(k_q x) with
+    k_q = 2 pi q / L, U_q = sum w u cos(k_q x), a_q = 2/L (1/L at q = 0 and
+    N/2).  Returns H, x and w."""
+    dx = L / N
+    x = dx * np.arange(N // 2 + 1)
+    w = np.full(x.size, 2 * dx)
+    w[[0, -1]] = dx
+    a = np.full(x.size, 2 / L)
+    a[[0, -1]] = 1 / L
+    k = 2 * np.pi / L * np.arange(x.size)
+    C = np.sqrt(w)[:, None] * np.cos(np.outer(x, k))
+    return (C * (0.5 * k**2 * a)) @ C.T + np.diag(V(x)), x, w
+
+
+def _bb_dense_series(cfg, N, L, t, sigma_reg=0.0176):
+    """<psi0|psi(t)> and <ref(t)|psi(t)> at the times t, from the complete
+    eigenbases of the even grid Hamiltonians with the smeared contact and
+    without it: exact in time on the grid."""
+    g = _g_tilde(cfg)
+    H, x, w = _even_grid_hamiltonian(N, L, lambda x: 0.5 * x**2 + g * switching._regularized_delta(x, sigma_reg))
+    E, U = np.linalg.eigh(H)
+    E0, U0 = np.linalg.eigh(_even_grid_hamiltonian(N, L, lambda x: 0.5 * x**2)[0])
+    y0 = np.sqrt(w) * switching._bb_initial_state(cfg, x)[0]
+    y0 /= np.linalg.norm(y0)
+    c, d = U.T @ y0, U0.T @ y0
+    psi = c * np.exp(-1j * np.outer(t, E))
+    return psi @ c, (psi @ (U0.T @ U).T * np.exp(1j * np.outer(t, E0))) @ d
+
+
 def test_naive_bb_loop_converges_to_spectral_series(ref_cfg):
-    # the (b,b) series are exact in time, so the Strang loop's error over one
-    # period must fall as dt^2 towards them: in the phase, in the complex
-    # <psi0|psi> (whose rotation sign |a|^2 cannot see) and in |<ref|psi>|^2
+    # the dense eigenbasis series of the smeared grid are exact in time, so
+    # the Strang loop's error over one period must fall as dt^2 towards
+    # them: in the phase, in the complex <psi0|psi> (whose rotation sign
+    # |a|^2 cannot see) and in |<ref|psi>|^2
     N, L = 256, 32.0
     gaps = []
     for sps in (500, 1000, 2000, 4000):
         a_init, a_ref, g = _bb_reference(ref_cfg, N, L, sps, 1)
-        ser = switching.propagate(ref_cfg, ("b", "b"), n_periods=1, N=N, L=L, steps_per_period=sps, check_convergence=False)
         one = slice(0, sps + 1)
+        s_init, s_ref = _bb_dense_series(ref_cfg, N, L, np.arange(sps + 1) * (2 * np.pi / sps))
         gaps.append(
             [
-                np.max(np.abs(ser.phase[one] - -np.unwrap(np.angle(a_ref[one])))),
-                np.max(np.abs(ser.amp_init[one] - a_init[one])),
-                np.max(np.abs(ser.overlap_init[one] - np.abs(a_init[one]) ** 2)),
-                np.max(np.abs(ser.overlap_ref[one] - np.abs(a_ref[one]) ** 2)),
+                np.max(np.abs(-np.unwrap(np.angle(s_ref)) - -np.unwrap(np.angle(a_ref[one])))),
+                np.max(np.abs(s_init - a_init[one])),
+                np.max(np.abs(np.abs(s_init) ** 2 - np.abs(a_init[one]) ** 2)),
+                np.max(np.abs(np.abs(s_ref) ** 2 - np.abs(a_ref[one]) ** 2)),
             ]
         )
     gaps = np.asarray(gaps)
     assert np.all(gaps[:-1] >= 3.5 * gaps[1:])
     assert np.all(gaps[-1] <= [5e-4, 5e-4, 5e-5, 1e-4])
     # the precheck's own solve lands on the phase of the main one
+    ser = switching.propagate(ref_cfg, ("b", "b"), n_periods=1, N=N, L=L, steps_per_period=sps, check_convergence=False)
     grid = switching.TwoParticleGrid(L=L, N=N, dt=2 * np.pi / sps)
-    p = switching._propagate_bb_once(ref_cfg, grid, g, 0.0176, 1, sps)
+    p = switching._propagate_bb_once(ref_cfg, grid, g, 1, sps)
     assert abs(p - ser.phase[sps]) <= 1e-10
 
 
 def test_even_sector_hamiltonian_matches_fft_grid():
-    # on even vectors the DCT-I kinetic energy is the FFT one
+    # the dense oracle above: on even vectors its DCT-I kinetic energy is the FFT one
     N, L = 256, 32.0
     grid = switching.TwoParticleGrid(L=L, N=N, dt=1e-3)
     k = 2 * np.pi * np.fft.fftfreq(N, d=grid.dx)
-    V = 0.5 * grid.x**2 + switching._regularized_delta(grid.x, 0.0176)
+
+    def V(x):
+        return 0.5 * x**2 + switching._regularized_delta(x, 0.0176)
+
     f = np.random.default_rng(3).standard_normal(N)
     f = f + f[(N - np.arange(N)) % N]  # f(x) = f(-x) on the periodic grid
-    expected = np.fft.ifft(0.5 * k**2 * np.fft.fft(f)).real + V * f
-    sector = switching._EvenSector(grid)
+    expected = np.fft.ifft(0.5 * k**2 * np.fft.fft(f)).real + V(grid.x) * f
+    H, _, w = _even_grid_hamiltonian(N, L, V)
     half = (N // 2 + np.arange(N // 2 + 1)) % N  # x = 0 .. L/2
-    y = sector.w * f[half]
-    got = (sector.dct_diagonal(y.copy(), sector.kinetic) + V[half] * y) / sector.w
+    got = H @ (np.sqrt(w) * f[half]) / np.sqrt(w)
     assert np.max(np.abs(got - expected[half])) <= 1e-12 * np.max(np.abs(expected))
 
 
-@pytest.mark.parametrize("shape", [(2049,), (40, 2049)], ids=["vector", "block"])
-def test_dct_kernels_match_scipy(shape):
-    # the mirrored-rfft DCT-I against scipy's type-1 DCT pair
-    grid = switching.TwoParticleGrid(L=32.0, N=4096, dt=1e-3)
-    sector = switching._EvenSector(grid)
-    Y = np.random.default_rng(5).standard_normal(shape)
-    factor = 1.0 / (sector.kinetic + 3.0)
-    expected = sfft.idct(sfft.dct(Y / sector.w, type=1) * factor, type=1) * sector.w
-    got = sector.dct_diagonal(Y.copy(), factor)
-    assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
-    U = np.atleast_2d(Y)
-    m, n = U.shape[1], 2 * U.shape[1] - 1
-    coef = np.zeros((len(U), n))
-    coef[:, :m] = sfft.dct(U, type=1)
-    coef[:, m - 1] *= 0.5
-    expected = sfft.idct(coef, type=1) * ((n - 1) / (m - 1))
-    got = switching._dct_interpolate(U, n)
-    assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
-
-
-def test_dct_diagonal_allocates_less_than_a_block():
-    # the mirrors and spectra live in the sector's buffers: with a new pair
-    # per call the peak was 2.6 MB, with the buffers it is about 50 KB
-    sector = switching._EvenSector(switching.TwoParticleGrid(L=32.0, N=4096, dt=1e-3))
-    Y = np.random.default_rng(6).standard_normal((switching.BLOCK_SIZE, 2049))
-    sector.dct_diagonal(Y, sector.kinetic)  # first call: numpy's FFT plan cache
-    tracemalloc.start()
-    try:
-        for _ in range(3):
-            sector.dct_diagonal(Y, 1.0 / (sector.kinetic + 1.0))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < Y.nbytes
+def test_smeared_grid_ground_state_converges_to_closed_form(ref_cfg):
+    # with a Gaussian contact of width sigma the grid's ground state lies
+    # O(sigma) above the closed form's, so the gap halves with sigma; 1024
+    # points on L = 10 resolve both widths to 1e-8
+    g = _g_tilde(ref_cfg)
+    eps, _, _ = switching._contact_levels(g, 1)
+    gaps = []
+    for sigma in (0.02, 0.01):
+        H, _, _ = _even_grid_hamiltonian(1024, 10.0, lambda x: 0.5 * x**2 + g * switching._regularized_delta(x, sigma))
+        gaps.append(np.linalg.eigvalsh(H)[0] - (0.5 + 2 * eps[0]))
+    assert gaps[1] > 0 and 1.8 <= gaps[0] / gaps[1] <= 2.2
 
 
 def test_ab_series_matches_naive_loop(ref_cfg):

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy import special
 
 from coldgate import switching, traps
 from coldgate.errors import ConvergenceFailure, NormLoss, ValidationError
@@ -75,17 +76,11 @@ def test_propagate_refers_mixed_channel_to_propagate_ab(ref_cfg, channel):
 
 
 def test_propagate_resolution_precheck(ref_cfg):
-    # a grid that cannot resolve the contact term must be refused
-    with pytest.raises(ConvergenceFailure):
+    # a grid too coarse for the overlaps must be refused: at N=64 the 33
+    # points cannot hold h_62, so the norm check does (the 2N precheck moves
+    # the phase by 5.7e-4 rad there, inside its 1e-3)
+    with pytest.raises(NormLoss):
         switching.propagate(ref_cfg, ("b", "b"), n_periods=1, N=64, steps_per_period=200)
-
-
-def test_precheck_refuses_1024_and_passes_2048(ref_cfg):
-    # dx halving moves the phase by 1.65e-3 rad at N=1024, by 2e-9 at 2048
-    with pytest.raises(ConvergenceFailure):
-        switching.propagate(ref_cfg, ("b", "b"), n_periods=1, N=1024, steps_per_period=200)
-    ser = switching.propagate(ref_cfg, ("b", "b"), n_periods=1, N=2048, steps_per_period=200)
-    assert ser.precheck_delta <= 1e-6
 
 
 def _g_tilde(cfg):
@@ -93,56 +88,79 @@ def _g_tilde(cfg):
     return cfg.g1d("bb") / (traps.HBAR * cfg.omega * a_r)
 
 
+def _phase_after_one_period(cfg, N, L, size):
+    spec = switching._bb_spectrum(cfg, switching.TwoParticleGrid(L=L, N=N, dt=1.0), _g_tilde(cfg), size)
+    return float(-np.angle(spec.amplitudes(np.array([2 * np.pi]))[1, 0]))
+
+
+def test_precheck_bounds_both_truncations(ref_cfg):
+    # the precheck reruns the closed form on 2N points with 2 BASIS_SIZE
+    # levels, so the phase it compares moves with the quadrature and with
+    # the basis, and at the default box both have converged
+    ser = switching.propagate(ref_cfg, ("b", "b"), n_periods=1, N=2048, steps_per_period=200)
+    assert ser.precheck_delta <= 1e-12
+    fine = _phase_after_one_period(ref_cfg, 2048, 32.0, 2 * switching.BASIS_SIZE)
+    assert abs(_phase_after_one_period(ref_cfg, 64, 32.0, switching.BASIS_SIZE) - fine) > 1e-4
+    assert abs(_phase_after_one_period(ref_cfg, 2048, 32.0, 8) - fine) > 1e-4
+
+
 @pytest.mark.parametrize("N", [64, 128])
 def test_tiny_grids_converge(ref_cfg, N):
-    # at N=64 the 33 even points hold fewer than BLOCK_SIZE vectors; neither
-    # grid may stall at the iteration cap
+    # the closed form needs no grid; the overlaps need one that holds h_62
+    spec = switching._bb_spectrum(ref_cfg, switching.TwoParticleGrid(L=32.0, N=N, dt=1.0), _g_tilde(ref_cfg))
+    assert len(spec.E) == switching.BASIS_SIZE
+    # each level to adjacent doubles: 53 steps and one more per halving of 1/2 down to eps
+    assert spec.iterations <= 64 * switching.BASIS_SIZE
     if N == 64:
-        # the interacting solve converges, but the 33 points cannot hold the
-        # closed-form reference h_0 .. h_62, so its norm is off and the gate refused
-        spec = switching._bb_spectrum(ref_cfg, switching.TwoParticleGrid(L=32.0, N=N, dt=1.0), _g_tilde(ref_cfg), 0.0176)
-        assert len(spec.E) == switching.BASIS_SIZE
-        assert spec.iterations < switching.MAX_ITERATIONS
+        # the 33 points cannot hold h_0 .. h_62, so the norm is off and the gate refused
         with pytest.raises(NormLoss):
             switching.propagate(ref_cfg, ("b", "b"), n_periods=1, N=N, steps_per_period=200, check_convergence=False)
         return
     ser = switching.propagate(ref_cfg, ("b", "b"), n_periods=1, N=N, steps_per_period=200, check_convergence=False)
-    assert ser.basis_size == switching.BASIS_SIZE
-    assert ser.solver_iterations < switching.MAX_ITERATIONS
-    assert abs(ser.tail_weight) <= 1e-6
+    assert len(ser.spectrum.E) == switching.BASIS_SIZE
+    assert ser.spectrum.iterations == spec.iterations
+    assert abs(ser.spectrum.tail_weight) <= 1e-6
     assert ser.precheck_delta is None
 
 
 @pytest.mark.parametrize("N", [256, 4096, 8192])
-def test_solved_reference_is_the_closed_form(N):
-    # the g=0 LOBPCG solve that the closed form replaced, kept as its oracle;
-    # 8192 is the precheck grid of the default N
-    sector = switching._EvenSector(switching.TwoParticleGrid(L=32.0, N=N, dt=1.0))
-    E0, X0, _ = switching._lowest_eigenpairs(sector, 0.5 * sector.x**2, switching._start_block(sector))
+def test_solved_reference_is_the_closed_form(ref_cfg, N):
+    # at g=0 the spectrum is the oscillator's, O = I and c = d; the even
+    # Hermite rows are orthonormal under the quadrature of d (8192 is the
+    # precheck grid of the default N)
+    grid = switching.TwoParticleGrid(L=32.0, N=N, dt=1.0)
+    spec = switching._bb_spectrum(dataclasses.replace(ref_cfg, a_s_bb=0.0), grid, 0.0)
     n = switching.BASIS_SIZE
-    assert np.max(np.abs(E0[:n] - (2 * np.arange(n) + 0.5))) <= 1e-12
-    H = sector.w * switching._even_hermite(sector.x, n)
-    assert np.max(np.abs(np.abs(X0[:n] @ H.T) - np.eye(n))) <= 1e-12
+    assert np.array_equal(spec.E, 2 * np.arange(n) + 0.5) and np.array_equal(spec.E, spec.E0)
+    assert np.array_equal(spec.O, np.eye(n)) and np.array_equal(spec.c, spec.d)
+    x = grid.dx * np.arange(N // 2 + 1)
+    w = np.full(x.size, 2 * grid.dx)
+    w[[0, -1]] = grid.dx
+    H = switching._even_hermite(x, n)
+    assert np.max(np.abs((H * w) @ H.T - np.eye(n))) <= 1e-12
 
 
 def test_propagate_runs_one_eigensolve_per_grid(ref_cfg, monkeypatch):
-    # the interacting solve on N and on the 2N precheck grid; the reference is closed-form
-    grids = []
-    solve = switching._lowest_eigenpairs
+    # one closed-form solve of BASIS_SIZE levels on N points, and one of
+    # twice the levels on the 2N precheck grid
+    solves = []
+    spectrum = switching._bb_spectrum
 
-    def counted(sector, V, S):
-        grids.append(2 * (sector.x.size - 1))
-        return solve(sector, V, S)
+    def counted(cfg, grid, g_tilde, size=switching.BASIS_SIZE):
+        solves.append((grid.N, size))
+        return spectrum(cfg, grid, g_tilde, size)
 
-    monkeypatch.setattr(switching, "_lowest_eigenpairs", counted)
+    monkeypatch.setattr(switching, "_bb_spectrum", counted)
     switching.propagate(ref_cfg)
-    assert grids == [4096, 8192]
+    assert solves == [(4096, 32), (8192, 64)]
 
 
 def test_short_box_raises_norm_loss(ref_cfg):
-    # L = 12 is too short for the high reference functions; a reference
-    # solved on that box reads phase/pi = 1.00623 against a converged 0.96461
+    # L = 12 cuts the initial state at its centres x = +-6: the norm check
+    # refuses it, and the precheck's 64 levels see the cut first
     with pytest.raises(NormLoss):
+        switching.propagate(ref_cfg, L=12.0, check_convergence=False)
+    with pytest.raises(ConvergenceFailure):
         switching.propagate(ref_cfg, L=12.0)
 
 
@@ -151,11 +169,11 @@ def test_short_box_raises_norm_loss(ref_cfg):
     [
         {"steps_per_period": 0},
         {"steps_per_period": -5},
-        {"sigma_reg": 0.0},
-        {"sigma_reg": np.nan},
-        {"sigma_reg": np.inf},
+        {"L": 0.0},
+        {"L": -1.0},
+        {"n_periods": 0},
         {"L": np.nan},
-        {"N": 65},  # the even sector needs an even N
+        {"N": 65},  # the quadrature on x = 0 .. L/2 needs an even N
     ],
 )
 def test_propagate_rejects_bad_numbers(ref_cfg, kwargs):
@@ -164,15 +182,59 @@ def test_propagate_rejects_bad_numbers(ref_cfg, kwargs):
 
 
 def test_nan_fails_precheck_and_norm_check(ref_cfg):
-    # sigma_reg = 1e-320 passes validation, but the contact term is NaN at
-    # x = 0 (0/0), so the whole state becomes NaN
-    with np.errstate(all="ignore"):
-        with pytest.raises(ConvergenceFailure):
-            switching.propagate(ref_cfg, ("b", "b"), n_periods=1, N=64, steps_per_period=200, sigma_reg=1e-320)
-        with pytest.raises(NormLoss):
-            switching.propagate(
-                ref_cfg, ("b", "b"), n_periods=1, N=64, steps_per_period=200, sigma_reg=1e-320, check_convergence=False
-            )
+    # a NaN scattering length makes every level NaN
+    cfg = dataclasses.replace(ref_cfg, a_s_bb=np.nan)
+    with pytest.raises(ConvergenceFailure):
+        switching.propagate(cfg, ("b", "b"), n_periods=1, N=128, steps_per_period=200)
+    with pytest.raises(NormLoss):
+        switching.propagate(cfg, ("b", "b"), n_periods=1, N=128, steps_per_period=200, check_convergence=False)
+
+
+def test_contact_levels_perturbative_limit():
+    # first order in g: E_nu - E0_nu = g h_2nu(0)^2
+    g, n = 1e-6, 2 * switching.BASIS_SIZE
+    eps, _, _ = switching._contact_levels(g, n)
+    h0 = switching._even_hermite(np.zeros(1), n)[:, 0]
+    assert np.max(np.abs(2 * eps - g * h0**2)) <= 1e-12
+
+
+def test_contact_levels_hard_core_limit():
+    # g -> infinity: the even levels fall onto the odd ones, E = 2 nu + 3/2
+    eps, _, _ = switching._contact_levels(1e6, switching.BASIS_SIZE)
+    assert np.max(np.abs(2 * eps - 1.0)) <= 1e-5
+
+
+@pytest.mark.parametrize("g", [0.656, -0.656, 3.0, -5.0])
+def test_contact_levels_solve_the_series(g):
+    # the defining series summed directly, m < M, with the leading term of
+    # each tail: S(E_nu) = sum h_2m(0)^2 / (E0_m - E_nu) = -1/g, and each norm
+    # is 1/sqrt(S'(E_nu)); level 0 of g < 0 is the bound state
+    M, count = 200_000, 8
+    eps, norm, _ = switching._contact_levels(g, count)
+    m = np.arange(M)
+    h2 = np.exp(special.gammaln(m + 0.5) - special.gammaln(m + 1.0)) / np.pi
+    gap = (2 * m + 0.5)[:, None] - (2 * np.arange(count) + 0.5 + 2 * eps)
+    S = h2 @ (1 / gap) + 1 / (np.pi * np.sqrt(M))
+    S1 = h2 @ (1 / gap**2) + M**-1.5 / (6 * np.pi)
+    assert np.max(np.abs(g * S + 1)) <= 1e-6
+    assert np.max(np.abs(norm * np.sqrt(S1) - 1)) <= 1e-8
+
+
+@pytest.mark.parametrize("g", [1e-300, -1e-300, 1e300, -1e3])
+def test_contact_spectrum_stays_finite_at_extreme_g(ref_cfg, g):
+    # S' grows as 1/g^2 past the float range at 1e-300, eps meets 1/2 at
+    # 1e300, and -1e3 binds a state near E = -2e5: the overlaps stay unit
+    # columns, and at |g| = 1e-300 the spectrum is the oscillator's
+    spec = switching._bb_spectrum(ref_cfg, switching.TwoParticleGrid(L=32.0, N=4096, dt=1.0), g)
+    assert np.all(np.isfinite(spec.O)) and np.max(np.abs(spec.O)) <= 1 + 1e-12
+    assert spec.tail_weight <= 1e-6
+    if abs(g) < 1:
+        assert np.max(np.abs(np.abs(spec.O) - np.eye(switching.BASIS_SIZE))) <= 1e-12
+
+
+def test_digamma_matches_scipy():
+    x = np.linspace(0.5, 40.0, 4001)
+    assert np.max(np.abs(switching._digamma(x) - special.digamma(x))) <= 1e-14
 
 
 @pytest.mark.parametrize("side", ["c", "d"])
@@ -217,7 +279,7 @@ def test_series_reads_are_exact_between_samples(ref_cfg, bb_series, bb_series_de
     # halfway between the samples of 4000 a period, around each revival and
     # the gate time, where a linear read of the amplitude sagged |a|^2 by up
     # to 2e-4; the reads are those of the default, sparser series
-    spec = switching._bb_spectrum(ref_cfg, switching.TwoParticleGrid(L=32.0, N=4096, dt=1.0), _g_tilde(ref_cfg), 0.0176)
+    spec = switching._bb_spectrum(ref_cfg, switching.TwoParticleGrid(L=32.0, N=4096, dt=1.0), _g_tilde(ref_cfg))
     dense = bb_series_dense
     dt = dense.t[1]
     near = np.concatenate([bb_series.revival_times, [bb_series.tau]])
