@@ -9,10 +9,16 @@ table, a fault-tolerant CNOT between blocks, Armada parity checks, and the
 sweep constructions (GHZ, QFT).
 
 Gates work on views of the flat state: a pulse layer is one matrix product
-(8x8 on qubits) per window of up to three neighbouring sites.  The pairs
-a collision phases are counted per basis index and cached by geometry, so
-a repeated collision costs one table lookup and one multiply; the cache's
-8 count arrays take 1 MiB each (uint8) at MAX_QUBITS qubits.  User states
+(8x8 on qubits) per window of up to three neighbouring sites, on the
+float64 view when the gate is real (every named one but Y), and with a
+cached kron(M^T, 1) below 64 amplitudes per left index.  A layer allocates
+only its result (and a contiguous copy of a strided state): its passes
+alternate with a work buffer of the state's size, cached per thread for
+the last 2 (size, thread) pairs, 4 MiB at 18 qubits and 16 MiB at
+MAX_QUBITS.  The pairs a collision phases are counted per basis index and
+cached by geometry, so a repeated collision costs one table lookup and one
+multiply into its result, PHASE_CHUNK amplitudes at a time; the cache's 8
+count arrays take 1 MiB each (uint8) at MAX_QUBITS qubits.  User states
 have their norm checked; gate results reuse the geometry unchecked.
 """
 
@@ -20,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +35,7 @@ import numpy.random  # numpy loads it lazily; load it with the module, not in th
 from .errors import GeometryMismatch, NonBasisSyndrome, ValidationError
 
 MAX_QUBITS = 20
+PHASE_CHUNK = 1 << 14  # amplitudes per step of a collision phase: 256 KiB of looked-up phases
 
 H_GATE = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 X_GATE = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -156,17 +164,31 @@ def normalized_global_phase(state):
 
 
 @functools.lru_cache(maxsize=64)
-def _layer_operator(u: tuple, window: tuple, listed: tuple):
-    """Read-only kron over a window of axes (level counts ``window``) of the
-    gate ``u`` on the listed ones, on the {0,1} levels of a 3-level site,
-    and of the identity on the others."""
+def _layer_operator(u: tuple, window: tuple, listed: tuple, right: int):
+    """Read-only kron M over a window of axes (level counts ``window``) of
+    the gate ``u`` on the listed ones, on the {0,1} levels of a 3-level
+    site, and of the identity on the others, float64 when it has no
+    imaginary part; for ``right`` > 0 amplitudes right of the window, the
+    complex small-register operator kron(M^T, 1_right) in its place, below
+    64x64 (64 KiB)."""
     ops = [np.eye(d, dtype=complex) for d in window]
     for op, on in zip(ops, listed):
         if on:
             op[:2, :2] = np.reshape(u, (2, 2))
     M = functools.reduce(np.kron, ops)
+    if right:
+        M = np.kron(M.T, np.eye(right))
+    elif not M.imag.any():
+        M = np.ascontiguousarray(M.real)
     M.flags.writeable = False
     return M
+
+
+@functools.lru_cache(maxsize=2)
+def _work_buffer(size: int, thread: int) -> np.ndarray:
+    """Scratch state of ``size`` amplitudes for the passes of a gate in one
+    thread; no gate returns it."""
+    return np.empty(size, dtype=complex)
 
 
 def single_qubit(reg: LatticeRegister, lattice_sites, gate) -> LatticeRegister:
@@ -175,9 +197,14 @@ def single_qubit(reg: LatticeRegister, lattice_sites, gate) -> LatticeRegister:
 
     Each window of up to three neighbouring listed axes is one pass: M, the
     kron of the gate on them and the identity between (8x8 on qubits),
-    times the state viewed as (left, w, right).  Below 64 amplitudes per
-    left index that stack of tiny products is slow, so the view is then
-    (left, w*right) times kron(M^T, 1_right).
+    times the state viewed as (left, w, right); a real M (every named gate
+    but Y) multiplies the float64 view, (left, w, 2*right), in place of a
+    complex product.  Below 64 amplitudes per left index that stack of tiny
+    products is slow, so the view is then (left, w*right) times the cached
+    kron(M^T, 1_right), kept complex: a real product gains no time there and
+    would round differently.  The passes alternate between a fresh result and
+    the thread's ``_work_buffer`` of the state's size, so the last lands in
+    the result.
     """
     if isinstance(gate, str):
         if gate not in _NAMED_GATES:
@@ -190,19 +217,29 @@ def single_qubit(reg: LatticeRegister, lattice_sites, gate) -> LatticeRegister:
     axes = sorted(reg.axis_of_site(s) for s in np.atleast_1d(lattice_sites))
     if len(set(axes)) != len(axes):
         raise ValidationError(f"a layer pulses each site once, got {lattice_sites!r}")
-    state = reg.state
+    passes = []
     while axes:
         group = [ax for ax in axes[:3] if ax < axes[0] + 3]
         axes = axes[len(group) :]
         window = reg.dims[group[0] : group[-1] + 1]
         w, right = math.prod(window), math.prod(reg.dims[group[-1] + 1 :])
         listed = tuple(group[0] + k in group for k in range(len(window)))
-        M = _layer_operator(u, window, listed)
-        if w * right >= 64:
-            state = M @ state.reshape(-1, w, right)
+        small = w * right < 64
+        passes.append((_layer_operator(u, window, listed, right if small else 0), w, right, small))
+    state = np.ascontiguousarray(reg.state)  # a strided state has no float64 view
+    out = np.empty_like(state) if passes else state.copy()
+    work = _work_buffer(state.size, threading.get_ident()) if len(passes) > 1 else None
+    dst = out if len(passes) % 2 else work
+    for op, w, right, small in passes:
+        src, dst_v = state, dst
+        if op.dtype == np.float64:  # (re, im) pairs along the last axis
+            src, dst_v, right = state.view(np.float64), dst.view(np.float64), 2 * right
+        if small:
+            np.matmul(src.reshape(-1, w * right), op, out=dst_v.reshape(-1, w * right))
         else:
-            state = state.reshape(-1, w * right) @ np.kron(M.T, np.eye(right))
-    return reg._with_state(state.reshape(-1) if state is not reg.state else state.copy())
+            np.matmul(op, src.reshape(-1, w, right), out=dst_v.reshape(-1, w, right))
+        state, dst = dst, work if dst is out else out
+    return reg._with_state(out)
 
 
 @functools.lru_cache(maxsize=8)
@@ -225,18 +262,25 @@ def _pair_phase_condition(reg: LatticeRegister, pairs_phi, cond=(0, 1), sign=-1.
     digit(site_b) == cond[1].
 
     The pairs that share phi are counted by the cached ``_pair_counts``;
-    the phase is one lookup by count in a table of exp(sign*i*phi*k), which
-    for phi = pi is the real sign (-1)^k, and one multiply.
+    the phase is a complex table of exp(sign*i*phi*k), for phi = pi the
+    sign (-1)^k + 0j, looked up by count and multiplied into a fresh
+    result, one chunk of PHASE_CHUNK amplitudes at a time, so the looked-up
+    phases never fill a state-sized temporary.
     """
     groups = {}  # phi -> the axis pairs it phases
     for sa, sb, phi in pairs_phi:
         groups.setdefault(phi, []).append((reg.axis_of_site(sa), reg.axis_of_site(sb)))
     state = reg.state
+    out = np.empty(state.size, dtype=complex) if groups else state.copy()
     for phi, axis_pairs in groups.items():
         counts = _pair_counts(reg.dims, tuple(axis_pairs), tuple(int(c) for c in cond))
         k = np.arange(len(axis_pairs) + 1)
-        state = state * ((-1.0) ** k if phi == np.pi else np.exp(sign * 1j * phi * k))[counts]
-    return reg._with_state(state if groups else state.copy())
+        table = (-1.0) ** k + 0j if phi == np.pi else np.exp(sign * 1j * phi * k)
+        for lo in range(0, out.size, PHASE_CHUNK):
+            chunk = slice(lo, lo + PHASE_CHUNK)
+            np.multiply(state[chunk], table.take(counts[chunk], mode="clip"), out=out[chunk])
+        state = out
+    return reg._with_state(out)
 
 
 # the unconditioned collision phase: (0, 1) pairs

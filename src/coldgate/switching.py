@@ -228,14 +228,21 @@ class SwitchTimeSeries:
 
 def _bb_initial_state(cfg: SwitchingConfig, x):
     """Exchange-symmetric relative-coordinate state: both atoms in their own
-    well ground states, centers 2*x0 apart (relative-oscillator units)."""
+    well ground states, centers 2*x0 apart (relative-oscillator units).
+    ``ValidationError`` if the grid x reaches so far that x^2 overflows, or
+    is so fine that the state's norm underflows or its square overflows."""
     nu0 = cfg.omega0 / cfg.omega
     mu = cfg.mass / 2.0
     a_r = np.sqrt(HBAR / (mu * cfg.omega))
     r0 = 2 * cfg.x0 / a_r
+    reach = float(np.max(np.abs(x)) + abs(r0))
+    if not math.isfinite(max(float(nu0), 1.0) * reach * reach):  # bounds (x - r0)^2 and nu0 (x - r0)^2
+        raise ValidationError(f"a grid reaching |x| = {reach:.3g} overflows x^2")
     g = np.exp(-0.5 * nu0 * (x - r0) ** 2) + np.exp(-0.5 * nu0 * (x + r0) ** 2)
-    g /= np.sqrt(np.sum(np.abs(g) ** 2) * (x[1] - x[0]))
-    return g, r0
+    norm2 = float(np.sum(g**2) * (x[1] - x[0]))
+    if not (norm2 > 0 and math.isfinite(float(np.max(g)) ** 2 / norm2)):
+        raise ValidationError(f"the initial state's norm underflows on a grid of spacing {x[1] - x[0]:.3g}")
+    return g / math.sqrt(norm2), r0
 
 
 # The (b,b) channel in the lowest even eigenpairs of the contact Hamiltonian

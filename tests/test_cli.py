@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import coldgate
-from coldgate import cli, moving, switching
+from coldgate import cli, moving, qc, switching
 from coldgate.errors import ValidationError
 
 
@@ -313,6 +313,39 @@ def test_gate_switching_fuzz_exits_0_2_or_3(cfg, edges):
             json.dump(dict(cfg, **edges), fh)
         rc = cli.main(["gate-switching", "--config", cfgp, "--out", os.path.join(d, "o")])
         assert rc in (0, 2, 3)
+        if rc == 0:
+            _strict_json(os.path.join(d, "o", "summary.json"))
+
+
+# qc-ramsey, qc-qft and qc-ghz each take one size: a small one (their work
+# grows as n_phi, 4^m and 2^n), or an edge of its bounds in cli.SCENARIOS,
+# where qc-ghz leaves them to qc.ghz_from_sweep (1 <= n < MAX_QUBITS)
+_QC_SIZES = {"qc-ramsey": ("n_phi", 200), "qc-qft": ("m", 6), "qc-ghz": ("n", 12)}
+
+
+def _qc_size_bounds(scenario):
+    key, _ = _QC_SIZES[scenario]
+    return cli.SCENARIOS[scenario][2].get(key, (1, qc.MAX_QUBITS - 1))
+
+
+def _qc_size_values(scenario):
+    lo, hi = _qc_size_bounds(scenario)
+    edges = [True, False, float("nan"), float("inf"), float("-inf"), 0, -1, -(10**9), lo - 1, lo, hi + 1, 10**12, float(lo), 2.5]
+    return st.one_of(st.integers(lo, _QC_SIZES[scenario][1]), st.sampled_from(edges))
+
+
+@given(case=st.sampled_from(sorted(_QC_SIZES)).flatmap(lambda scn: st.tuples(st.just(scn), _qc_size_values(scn))))
+@settings(max_examples=60, deadline=10_000)  # an example that runs over 10 s fails
+def test_qc_size_fuzz_exits_0_or_2(case):
+    scenario, value = case
+    key, _ = _QC_SIZES[scenario]
+    lo, hi = _qc_size_bounds(scenario)
+    with tempfile.TemporaryDirectory() as d:
+        cfgp = os.path.join(d, "c.json")
+        with open(cfgp, "w") as fh:
+            json.dump({key: value}, fh)
+        rc = cli.main([scenario, "--config", cfgp, "--out", os.path.join(d, "o")])
+        assert rc == (0 if type(value) is int and lo <= value <= hi else 2)
         if rc == 0:
             _strict_json(os.path.join(d, "o", "summary.json"))
 

@@ -1,5 +1,7 @@
 import functools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -518,3 +520,146 @@ def test_run_script_end_to_end():
 def test_run_script_names_the_malformed_line(script):
     with pytest.raises(ValidationError, match=f"script line {script.count(chr(10)) + 1}"):
         qc.run_script(script)
+
+
+# -- the work buffer, the float64 view and the cached small-register operator
+
+
+def _keep_gate_results(monkeypatch):
+    """Wrap the gates so that every result is kept with a copy of its bits."""
+    kept = []
+    for name in ("single_qubit", "_pair_phase_condition", "_pair_phase"):
+        gate = getattr(qc, name)
+
+        def keep(*args, _gate=gate, **kwargs):
+            out = _gate(*args, **kwargs)
+            kept.append((out.state, out.state.copy()))
+            return out
+
+        monkeypatch.setattr(qc, name, keep)
+    return kept
+
+
+def _assert_kept(kept):
+    assert kept
+    for state, saved in kept:
+        assert state.tobytes() == saved.tobytes()
+        assert not np.shares_memory(state, qc._work_buffer(state.size, threading.get_ident()))
+
+
+def test_ft_cnot_results_never_alias_the_work_buffer(monkeypatch):
+    kept = _keep_gate_results(monkeypatch)
+    s0, s1 = qc.shor_codewords_standard()
+    out = qc.ft_cnot(qc.two_block_register(s0, s1))
+    assert len(kept) == 3
+    # later gates on 2^18 amplitudes run their passes through the same buffer
+    qc.ft_cnot(qc.two_block_register(s1, s0), exact_sign=False)
+    qc.single_qubit(out, range(18), "Y")
+    _assert_kept(kept)
+
+
+def test_syndrome_table_blocks_never_alias_the_work_buffer(monkeypatch):
+    kept = _keep_gate_results(monkeypatch)
+    rows = qc.syndrome_table(0.6, 0.8j)
+    assert len(kept) > 27
+    assert qc.syndrome_table(0.8, 0.6) == rows  # the same table from other 9-qubit blocks
+    _assert_kept(kept)
+
+
+def test_work_buffer_holds_two_sizes():
+    for n in (4, 7, 10):
+        qc.single_qubit(qc.LatticeRegister.basis((n,), [0] * n), range(n), "H")
+    assert qc._work_buffer.cache_info().currsize == 2
+
+
+def test_gates_in_threads_match_the_serial_gates():
+    # more threads than cores, each running layers of one state size at once
+    rng = np.random.default_rng(5)
+    psi = rng.normal(size=(6, 2**14)) + 1j * rng.normal(size=(6, 2**14))
+    regs = [qc.LatticeRegister((14,), tuple(range(14)), (2,) * 14, p / np.linalg.norm(p)) for p in psi]
+    pairs = [(s, s + 7, np.pi) for s in range(7)]
+
+    def run(reg):
+        for _ in range(20):
+            reg = qc._pair_phase_condition(qc.single_qubit(reg, range(14), "H"), pairs)
+        return reg.state
+
+    expect = [run(reg) for reg in regs]
+    got = [None] * len(regs)
+
+    def work(i):
+        got[i] = run(regs[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(regs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(g is not None and g.tobytes() == e.tobytes() for g, e in zip(got, expect))
+
+
+@pytest.mark.parametrize("n", [5, 9, 12])
+def test_strided_state_gives_the_gates_of_its_copy(n):
+    rng = np.random.default_rng(n)
+    psi = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    big = np.zeros(2 ** (n + 1), dtype=complex)
+    big[::2] = psi / np.linalg.norm(psi)
+    reg = qc.LatticeRegister((n,), tuple(range(n)), (2,) * n, big[::2])
+    flat = qc.LatticeRegister((n,), tuple(range(n)), (2,) * n, big[::2].copy())
+    assert not reg.state.flags.c_contiguous and flat.state.flags.c_contiguous
+    pairs = [(s, s + 1, np.pi) for s in range(n - 1)] + [(0, n - 1, 0.3)]
+    for gate in ("H", "Y", "R270", _random_unitary(n)):
+        for sites in (range(n), [0, 2], [n - 1]):
+            a, b = qc.single_qubit(reg, sites, gate).state, qc.single_qubit(flat, sites, gate).state
+            assert a.tobytes() == b.tobytes()
+    a, b = qc._pair_phase_condition(reg, pairs).state, qc._pair_phase_condition(flat, pairs).state
+    assert a.tobytes() == b.tobytes()
+    assert np.array_equal(big[::2], flat.state)  # the strided input is untouched
+
+
+@pytest.mark.parametrize("name, matrix", [("X", qc.X_GATE + 0j), ("H", qc.H_GATE.real), ("Z", qc.Z_GATE.astype(complex))])
+def test_real_gate_as_a_matrix_matches_its_name(name, matrix):
+    rng = np.random.default_rng(3)
+    psi = rng.normal(size=2**10) + 1j * rng.normal(size=2**10)
+    reg = qc.LatticeRegister((10,), tuple(range(10)), (2,) * 10, psi / np.linalg.norm(psi))
+    for sites in (range(10), [1, 2, 5], [9]):
+        named = qc.single_qubit(reg, sites, name).state
+        assert qc.single_qubit(reg, sites, matrix).state.tobytes() == named.tobytes()
+        for s in sites:
+            reg_s = qc.single_qubit(reg, s, name)
+            assert np.max(np.abs(reg_s.state - _tensordot_single_qubit(reg, s, qc._NAMED_GATES[name]))) <= 1e-15
+
+
+def test_layer_operator_is_real_for_real_gates_and_caches_the_small_operator():
+    def op(gate, right, listed=(True, False, True)):
+        u = tuple(np.asarray(qc._NAMED_GATES[gate], dtype=complex).ravel().tolist())
+        return qc._layer_operator(u, (2, 3, 2), listed, right)
+
+    M = op("H", 0)
+    assert M.dtype == np.float64 and M.shape == (12, 12) and not M.flags.writeable
+    assert op("Y", 0, (True, False, False)).dtype == np.complex128
+    assert op("Y", 0).dtype == np.float64  # Y x Y is real
+    K = op("H", 4)  # the small-register operator stays complex
+    assert K.dtype == np.complex128 and not K.flags.writeable
+    assert np.array_equal(K, np.kron(M.T, np.eye(4)))
+    assert op("H", 4) is K
+
+
+def test_collision_phase_runs_in_chunks(monkeypatch):
+    # chunks of 5 amplitudes, the last one short, against the dense diagonal
+    monkeypatch.setattr(qc, "PHASE_CHUNK", 5)
+    rng = np.random.default_rng(11)
+    dims = (2, 3, 2, 2)
+    psi = rng.normal(size=24) + 1j * rng.normal(size=24)
+    reg = qc.LatticeRegister((4,), (0, 1, 2, 3), dims, psi / np.linalg.norm(psi))
+    pairs = [(0, 1, np.pi), (1, 2, 0.4), (2, 3, np.pi), (0, 3, -1.1)]
+    for cond, sign in (((0, 1), -1.0), ((1, 0), 1.0), ((2, 1), -1.0)):
+        out = qc._pair_phase_condition(reg, pairs, cond=cond, sign=sign)
+        ref = _dense_pair_phase(dims, pairs, cond, sign) @ reg.state
+        assert np.max(np.abs(out.state - ref)) <= 1e-15

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -179,6 +180,21 @@ def test_short_box_raises_norm_loss(ref_cfg):
 def test_propagate_rejects_bad_numbers(ref_cfg, kwargs):
     with pytest.raises(ValidationError):
         switching.propagate(ref_cfg, ("b", "b"), **{"n_periods": 1, "N": 64, **kwargs})
+
+
+# x^2 overflows past |x| ~ 1.3e154 (L/2 = 1.4e154 is past it in a trap of
+# omega0 = omega as in the reference trap); at L = 1e-300 the state's squared
+# norm underflows to 0.  Both are refused before numpy warns, under -W error.
+@pytest.mark.parametrize(
+    "L, nu0, match",
+    [(1e200, None, r"overflows x\^2"), (3e154, None, r"overflows x\^2"), (2.8e154, 1.0, r"overflows x\^2"), (1e-300, None, "norm underflows"), (1e-320, None, "norm underflows")],
+)
+def test_propagate_refuses_a_box_past_the_float_range(ref_cfg, L, nu0, match):
+    cfg = ref_cfg if nu0 is None else dataclasses.replace(ref_cfg, omega0=nu0 * ref_cfg.omega)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=match):
+            switching.propagate(cfg, ("b", "b"), L=L)
 
 
 def test_nan_fails_precheck_and_norm_check(ref_cfg):
