@@ -338,16 +338,19 @@ def _qft_deviations(m: int):
     return inputs, [float(np.max(np.abs(qc.sweep_qft(bits)[0] - _bit_reversed_dft_column(bits)))) for bits in inputs]
 
 
+def _ftcnot_overlap(cw, c: int, t: int, exact_sign: bool) -> complex:
+    """<c, t^c| ft_cnot |c, t> between two Shor blocks of the codewords cw;
+    the 4 MiB output is freed on return."""
+    out = qc.ft_cnot(qc.two_block_register(cw[c], cw[t]), exact_sign=exact_sign)
+    # <c|<t^c|out> as cw[c]^H . out (control x target) . conj(cw[t^c])
+    return cw[c].conj() @ out.state.reshape(512, 512) @ cw[t ^ c].conj()
+
+
 def _ftcnot_overlaps(exact_sign: bool):
-    """(c, t, <c, t^c| ft_cnot |c, t>) between two Shor blocks, for the four
-    logical inputs."""
+    """(c, t, <c, t^c| ft_cnot |c, t>) for the four logical inputs, one
+    ft_cnot output held at a time."""
     cw = qc.shor_codewords_standard()
-    rows = []
-    for c, t in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        out = qc.ft_cnot(qc.two_block_register(cw[c], cw[t]), exact_sign=exact_sign)
-        # <c|<t^c|out> as cw[c]^H . out (control x target) . conj(cw[t^c])
-        rows.append((c, t, cw[c].conj() @ out.state.reshape(512, 512) @ cw[t ^ c].conj()))
-    return rows
+    return [(c, t, _ftcnot_overlap(cw, c, t, exact_sign)) for c, t in ((0, 0), (0, 1), (1, 0), (1, 1))]
 
 
 def _armada_block():

@@ -15,7 +15,9 @@ minimum over inputs is a convex quadratic program on the probability
 simplex of at most four dimensions.  ``min_fidelity`` solves it exactly:
 the minimizer is a stationary point on the affine hull of the face it lies
 in, so solving the KKT system of each of the 2^dim - 1 faces and keeping
-the non-negative solutions finds it.
+the non-negative solutions finds it.  A table with leading axes stacks
+channels, such as ``switching_channel`` over an array of hold times; their
+programs are solved together, with one ``pinv`` call per face size.
 """
 
 from __future__ import annotations
@@ -70,7 +72,9 @@ class GateChannel:
 
     basis: internal pair labels; overlaps(n1, n2) takes equal-length integer
     arrays of motional levels and returns the (pairs, basis) table of v_s
-    for both atoms starting in levels n1[k], n2[k].
+    for both atoms starting in levels n1[k], n2[k].  Leading axes, (...,
+    pairs, basis), stack channels that share the basis and are solved
+    together.
     """
 
     basis: tuple
@@ -90,64 +94,89 @@ def _levels(rho_ext: ThermalMotionalState | None):
 
 
 def _overlap_table(channel: GateChannel, rho_ext: ThermalMotionalState | None):
-    """Level-pair probabilities p (levels,) and overlaps V (levels, basis)."""
+    """Level-pair probabilities p (levels,) and overlaps V (..., levels, basis)."""
     p, n1, n2 = _levels(rho_ext)
     return p, np.asarray(channel.overlaps(n1, n2), dtype=complex)
 
 
 def _fidelity_matrix(channel: GateChannel, rho_ext: ThermalMotionalState | None) -> np.ndarray:
-    """Q with F(w) = w^T Q w for basis weights w_s = |c_s|^2.
+    """Q with F(w) = w^T Q w for basis weights w_s = |c_s|^2, shape
+    (..., basis, basis) for a table of overlaps stacked as (..., levels,
+    basis).
 
     Q = sum_lev p_lev [Re(v v^H) + diag(1 - |v|^2)] is a sum of positive
     semidefinite terms; with the overlaps stacked into V (levels, basis),
     Q = Re(V^T diag(p) conj(V)) + diag(p^T (1 - |V|^2)).
     """
     p, V = _overlap_table(channel, rho_ext)
-    return np.real(V.T @ (p[:, None] * V.conj())) + np.diag(p @ (1.0 - np.abs(V) ** 2))
+    diag = p @ (1.0 - np.abs(V) ** 2)
+    return np.real(np.swapaxes(V, -1, -2) @ (p[:, None] * V.conj())) + diag[..., None, :] * np.eye(V.shape[-1])
+
+
+_FACES: dict = {}  # dim -> the face tables of ``_faces``
+
+
+def _faces(dim: int):
+    """The faces of the simplex on dim vertices, grouped by their size k =
+    1 .. dim: for each k, the faces' positions in mask order (mask - 1, bit
+    i of the mask set for vertex i) and their vertices (faces, k), ascending
+    within a face.  Built once per dim."""
+    if dim not in _FACES:
+        bits = (np.arange(1, 2**dim)[:, None] >> np.arange(dim)) & 1
+        size = bits.sum(axis=1)
+        _FACES[dim] = [(np.flatnonzero(size == k), np.nonzero(bits[size == k])[1].reshape(-1, k)) for k in range(1, dim + 1)]
+    return _FACES[dim]
 
 
 def _simplex_qp_min(Q: np.ndarray):
-    """(min w^T Q w, argmin w) over the probability simplex, Q symmetric PSD.
+    """(min w^T Q w, argmin w) over the probability simplex, Q symmetric PSD;
+    for a stack Q (..., dim, dim), arrays of the minima (...) and minimizers
+    (..., dim).
 
     The minimum lies in the relative interior of some face S, where it is
     a stationary point on the face's affine hull: Q_SS w_S + lam 1 = 0,
     1^T w_S = 1.  Solving that KKT system on every non-empty face and
-    keeping the non-negative solutions finds it.  A singular system (Q_SS
-    flat along the face) is solved by least squares; some vertex of the
-    minimizing set then still has a nonsingular system on its own face.
+    keeping the non-negative solutions finds it.  The systems of all faces
+    of one size and all Q of the stack are solved by one ``pinv`` call: the
+    solution is the last column of the pseudo-inverse, with ``lstsq``'s
+    default cutoff, so a singular system (Q_SS flat along the face) gets the
+    minimum-norm least-squares solution; some vertex of the minimizing set
+    then still has a nonsingular system on its own face.  Of equal minima
+    the face first in mask order wins.
     """
-    dim = len(Q)
-    best_f, best_w = np.inf, None
-    for mask in range(1, 2**dim):
-        S = [i for i in range(dim) if mask >> i & 1]
-        k = len(S)
-        K = np.ones((k + 1, k + 1))
-        K[:k, :k] = Q[np.ix_(S, S)]
-        K[k, k] = 0.0
-        rhs = np.zeros(k + 1)
-        rhs[k] = 1.0
-        ws = np.linalg.lstsq(K, rhs, rcond=None)[0][:k]
-        if ws.min() < -1e-12:
-            continue
+    Q = np.asarray(Q, dtype=float)
+    lead, dim = Q.shape[:-2], Q.shape[-1]
+    f = np.empty(lead + (2**dim - 1,))
+    W = np.zeros(lead + (2**dim - 1, dim))
+    for pos, S in _faces(dim):
+        k = S.shape[1]
+        K = np.ones(lead + (len(pos), k + 1, k + 1))
+        K[..., :k, :k] = Q[..., S[:, :, None], S[:, None, :]]
+        K[..., k, k] = 0.0
+        ws = np.linalg.pinv(K, rcond=np.finfo(float).eps * (k + 1))[..., :k, k]  # K^+ e_k
+        feasible = ws.min(axis=-1) >= -1e-12
         ws = np.clip(ws, 0.0, None)
-        w = np.zeros(dim)
-        w[S] = ws / ws.sum()
-        f = float(w @ Q @ w)
-        if f < best_f:
-            best_f, best_w = f, w
-    return best_f, best_w
+        W[..., pos[:, None], S] = ws / ws.sum(axis=-1, keepdims=True)  # about 1 by the last KKT row, for a PSD Q
+        Wk = W[..., pos, :]
+        f[..., pos] = np.where(feasible, np.sum((Wk @ Q) * Wk, axis=-1), np.inf)
+    best = np.argmin(f, axis=-1)[..., None]  # the first minimum in mask order
+    f_min = np.take_along_axis(f, best, axis=-1)[..., 0]
+    w_min = np.take_along_axis(W, best[..., None], axis=-2)[..., 0, :]
+    return (f_min, w_min) if lead else (float(f_min), w_min)
 
 
-def min_fidelity(channel: GateChannel, rho_ext: ThermalMotionalState | None = None) -> float:
-    """Minimum of the channel fidelity over all normalized internal inputs.
+def min_fidelity(channel: GateChannel, rho_ext: ThermalMotionalState | None = None):
+    """Minimum of the channel fidelity over all normalized internal inputs:
+    a float, or an array over the leading axes of a stacked channel.
 
     The input enters only through its basis weights w_s = |c_s|^2, so the
     fidelity is the convex quadratic w^T Q w (``_fidelity_matrix``) and its
     minimum over the simplex is found exactly by solving the KKT system on
-    each of the 2^dim - 1 faces (``_simplex_qp_min``).  The result is
-    clipped to [0, 1].
+    each of the 2^dim - 1 faces (``_simplex_qp_min``), for every channel of
+    a stack at once.  The result is clipped to [0, 1].
     """
-    return float(np.clip(_simplex_qp_min(_fidelity_matrix(channel, rho_ext))[0], 0.0, 1.0))
+    f = np.clip(_simplex_qp_min(_fidelity_matrix(channel, rho_ext))[0], 0.0, 1.0)
+    return float(f) if np.ndim(f) == 0 else f
 
 
 def minimize(*args, **kwargs):
@@ -230,8 +259,9 @@ def moving_channel(
     return GateChannel(basis=("aa", "ab", "ba", "bb"), overlaps=overlaps)
 
 
-def switching_channel(cfg: SwitchingConfig, bb_series: SwitchTimeSeries, tau: float) -> GateChannel:
-    """Symmetrized channel of the switching gate at hold time tau.
+def switching_channel(cfg: SwitchingConfig, bb_series: SwitchTimeSeries, tau) -> GateChannel:
+    """Symmetrized channel of the switching gate at hold time tau, a float
+    or a 1-D array of hold times, which stacks one channel per time.
 
     One-particle phases are absorbed by a fixed frame calibrated at the
     series' gate time ``bb_series.tau``; away from it the inter-channel
@@ -242,7 +272,8 @@ def switching_channel(cfg: SwitchingConfig, bb_series: SwitchTimeSeries, tau: fl
     relative-coordinate amplitude of ``bb_series`` times the closed-form
     center-of-mass amplitude (offset 0), compared against the target
     collisional phase (pi).  The overlaps are those of the motional ground
-    state, whatever the levels.
+    state, whatever the levels: a table (levels, basis) for a float tau,
+    (hold times, levels, basis) for an array.
     """
     frame_tau = bb_series.tau
     nu = cfg.omega0 / cfg.omega
@@ -252,14 +283,15 @@ def switching_channel(cfg: SwitchingConfig, bb_series: SwitchTimeSeries, tau: fl
     # noninteracting revival amplitude
     lam_a = -0.5 * nu * frame_tau
     lam_b = float(np.angle(cm_overlap_complex(nu, 1.0, frame_tau, x0)))
-    a_aa = np.exp(-1j * nu * tau)
-    a_ab = np.exp(-1j * 0.5 * nu * tau) * cm_overlap_complex(nu, 1.0, tau, x0)
-    a_bb = cm_overlap_complex(nu, 1.0, tau) * bb_series.amp_init_at(tau)
+    t = np.atleast_1d(np.asarray(tau, dtype=float))
+    a_aa = np.exp(-1j * nu * t)
+    a_ab = np.exp(-1j * 0.5 * nu * t) * cm_overlap_complex(nu, 1.0, t, x0)
+    a_bb = cm_overlap_complex(nu, 1.0, t) * bb_series.spectrum.amplitudes(t)[0]
     v_aa = a_aa * np.exp(-2j * lam_a)
     v_ab = a_ab * np.exp(-1j * (lam_a + lam_b))
     v_bb = a_bb * np.exp(-1j * (2 * lam_b + np.pi))
-    row = np.array([v_aa, v_ab, v_bb], dtype=complex)
-    return GateChannel(basis=("aa", "ab", "bb"), overlaps=lambda n1, n2: np.full((len(n1), 3), row))
+    rows = np.stack([v_aa, v_ab, v_bb], axis=-1).reshape(np.shape(tau) + (3,))
+    return GateChannel(basis=("aa", "ab", "bb"), overlaps=lambda n1, n2: np.repeat(rows[..., None, :], len(n1), axis=-2))
 
 
 @dataclass
@@ -270,16 +302,18 @@ class TimingCurve:
 
 
 def timing_sensitivity(
-    channel_factory: Callable[[float], GateChannel],
+    channel_factory: Callable[[np.ndarray], GateChannel],
     tau0: float,
     delta: float,
     n_side: int = 24,
 ) -> TimingCurve:
     """Sample F(tau0 + k*delta), with the atoms in their motional ground
     state, and report the half-width at which the fidelity has dropped by
-    0.01 below its maximum."""
+    0.01 below its maximum.  ``channel_factory`` takes the array of the
+    2 n_side + 1 hold times and returns their stacked channel (as
+    ``switching_channel`` does), so the scan is one ``min_fidelity`` call."""
     offs = np.arange(-n_side, n_side + 1) * delta
-    fs = np.array([min_fidelity(channel_factory(tau0 + o)) for o in offs])
+    fs = min_fidelity(channel_factory(tau0 + offs))
     fmax = float(fs.max())
     half = float("inf")
     thresh = fmax - 0.01

@@ -36,6 +36,7 @@ from .errors import GeometryMismatch, NonBasisSyndrome, ValidationError
 
 MAX_QUBITS = 20
 PHASE_CHUNK = 1 << 14  # amplitudes per step of a collision phase: 256 KiB of looked-up phases
+FILL_ROWS = 64  # rows of uniforms per draw of random_fill: 512 KiB at 1000 sites a row
 
 H_GATE = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 X_GATE = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -360,21 +361,27 @@ def ramsey_sequence(reg: LatticeRegister, phi: float) -> LatticeRegister:
 def random_fill(shape, eta: float, seed=None):
     """Bernoulli(eta) site occupation and a census of maximal row clusters.
 
-    Returns (mask, census dict cluster_size -> count).  Runs are read off
-    the first difference of each zero-padded row: +1 where a run starts,
-    -1 one past its end.
+    Returns (mask, census dict cluster_size -> count).  The uniforms are
+    drawn FILL_ROWS rows at a time into one buffer, the same stream as one
+    ``rng.random(shape)``.  Runs are read off the changes along each
+    zero-padded row, which alternate between the start of a run and one
+    past its end.
     """
     if not 0.0 <= eta <= 1.0:
         raise ValidationError("eta must be in [0, 1]")
     shape = tuple(shape) if np.iterable(shape) else (int(shape),)
     rng = np.random.default_rng(seed)
-    mask = rng.random(shape) < eta
+    mask = np.empty(shape, dtype=bool)
     rows = mask.reshape(-1, shape[-1])
-    padded = np.zeros((rows.shape[0], rows.shape[1] + 2), dtype=np.int8)
+    buf = np.empty((min(FILL_ROWS, len(rows)), shape[-1]))
+    for s in range(0, len(rows), FILL_ROWS):
+        block = buf[: len(rows) - s]
+        rng.random(out=block)
+        np.less(block, eta, out=rows[s : s + len(block)])
+    padded = np.zeros((rows.shape[0], rows.shape[1] + 2), dtype=bool)
     padded[:, 1:-1] = rows
-    edges = np.diff(padded, axis=1).ravel()
-    lengths = np.flatnonzero(edges == -1) - np.flatnonzero(edges == 1)
-    sizes, counts = np.unique(lengths, return_counts=True)
+    idx = np.flatnonzero(padded[:, 1:] != padded[:, :-1])
+    sizes, counts = np.unique(idx[1::2] - idx[::2], return_counts=True)
     return mask, {int(n): int(c) for n, c in zip(sizes, counts)}
 
 
@@ -429,14 +436,23 @@ def _run_layers(reg: LatticeRegister, layers, lx_phase: float) -> LatticeRegiste
     return reg
 
 
+def _unit_amplitudes(alpha: complex, beta: complex) -> np.ndarray:
+    """(alpha, beta) normalised, divided by its largest real or imaginary
+    part first so that no square overflows or underflows; alpha and beta
+    must be finite and not both zero."""
+    parts = np.array([alpha, beta], dtype=complex).view(float)  # real divisions: a complex one takes 1/scale
+    scale = np.max(np.abs(parts))
+    if not (np.isfinite(scale) and scale > 0):
+        raise ValidationError(f"alpha={alpha}, beta={beta}: need finite amplitudes, not both zero")
+    parts = parts / scale
+    return (parts / np.linalg.norm(parts)).view(complex)
+
+
 def bare_block(alpha: complex, beta: complex) -> LatticeRegister:
     """3x3 block with the central atom carrying alpha|0> + beta|1>, normalised;
     alpha and beta must be finite and not both zero."""
-    nrm = np.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
-    if not (np.isfinite(nrm) and nrm > 0):
-        raise ValidationError(f"alpha={alpha}, beta={beta}: need finite amplitudes, not both zero")
     state = np.zeros(512, dtype=complex)
-    state[0], state[1 << (8 - 4)] = alpha / nrm, beta / nrm
+    state[0], state[1 << (8 - 4)] = _unit_amplitudes(alpha, beta)
     return LatticeRegister((3, 3), tuple(range(9)), (2,) * 9, state)
 
 
@@ -506,8 +522,7 @@ def shor_decode_and_syndrome(reg: LatticeRegister, alpha: complex, beta: complex
     central = np.asarray(t[tuple(sl)]).ravel()
     central = central / np.linalg.norm(central)
 
-    v = np.array([alpha, beta], dtype=complex)
-    v = v / np.linalg.norm(v)
+    v = _unit_amplitudes(alpha, beta)
     best = None
     for name, M in _RESIDUAL_FORMS.items():
         ov = abs(np.vdot(M @ v, central))

@@ -350,6 +350,33 @@ def test_qc_size_fuzz_exits_0_or_2(case):
             _strict_json(os.path.join(d, "o", "summary.json"))
 
 
+# qc-syndrome-table amplitudes: ordinary, tiny, huge, zero, negative,
+# non-finite or bools; squaring them before normalising overflowed at 1e200
+# and underflowed at 1e-300
+_AMPLITUDE_EDGES = st.sampled_from(
+    [0.0, -0.0, 1e-300, -1e-300, 5e-324, 1e200, -1e200, 1.7e308, -1.7e308, float("nan"), float("inf"), float("-inf"), True, False]
+)
+
+
+@given(values=st.lists(_usually(st.floats(-2.0, 2.0), _AMPLITUDE_EDGES), min_size=3, max_size=3))
+@settings(max_examples=60, deadline=10_000)
+def test_qc_syndrome_table_amplitude_fuzz_exits_0_or_2(values):
+    cfg = dict(zip(("alpha", "beta_re", "beta_im"), values))
+    usable = all(type(v) is float and math.isfinite(v) for v in values) and any(v != 0 for v in values)
+    with tempfile.TemporaryDirectory() as d:
+        cfgp = os.path.join(d, "c.json")
+        with open(cfgp, "w") as fh:
+            json.dump(cfg, fh)
+        rc = cli.main(["qc-syndrome-table", "--config", cfgp, "--out", os.path.join(d, "o")])
+        assert rc == (0 if usable else 2)
+        if rc == 0:
+            # the syndromes do not depend on the amplitudes; the residual
+            # form can, where two forms coincide (alpha = beta)
+            with open(os.path.join(d, "o", "syndrome_table.txt")) as fh:
+                got = [line.split()[:4] for line in fh]
+            assert got == [[err, *syn.split()] for err, syn, _ in cli._expected_syndrome_rows()]
+
+
 def test_gate_switching_sigma_reg_is_no_key(tmp_path, capsys):
     # the contact term is a delta in closed form, so its old width is refused
     cfgp = tmp_path / "c.cfg"

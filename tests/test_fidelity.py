@@ -175,3 +175,109 @@ def test_exact_min_fidelity_matches_multistart_oracle(chan_rho):
     assert f <= oracle + 1e-12
     assert sum(abs(a) ** 2 for a in c.values()) == pytest.approx(1.0, abs=1e-12)
     assert _fidelity_level_by_level(chan, rho, c) == pytest.approx(f, abs=1e-12)
+
+
+def _simplex_qp_min_loop(Q):
+    """Reference for ``fidelity._simplex_qp_min``: the KKT system of each
+    face in mask order, solved by ``lstsq`` one at a time; a strict < keeps
+    the first minimizing face."""
+    dim = len(Q)
+    best_f, best_w = np.inf, None
+    for mask in range(1, 2**dim):
+        S = [i for i in range(dim) if mask >> i & 1]
+        k = len(S)
+        K = np.ones((k + 1, k + 1))
+        K[:k, :k] = Q[np.ix_(S, S)]
+        K[k, k] = 0.0
+        rhs = np.zeros(k + 1)
+        rhs[k] = 1.0
+        ws = np.linalg.lstsq(K, rhs, rcond=None)[0][:k]
+        if ws.min() < -1e-12:
+            continue
+        ws = np.clip(ws, 0.0, None)
+        w = np.zeros(dim)
+        w[S] = ws / ws.sum()
+        f = float(w @ Q @ w)
+        if f < best_f:
+            best_f, best_w = f, w
+    return best_f, best_w
+
+
+def _psd(draw, dim):
+    """A symmetric PSD dim x dim matrix: a Gram matrix A A^T of rank 0 .. dim,
+    or a multiple of the all-ones matrix."""
+    if draw(st.booleans()):
+        return draw(st.floats(0.0, 2.0)) * np.ones((dim, dim))
+    rank = draw(st.integers(0, dim))
+    A = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=dim * rank, max_size=dim * rank))).reshape(dim, rank)
+    return A @ A.T
+
+
+@st.composite
+def psd_matrices(draw):
+    return _psd(draw, draw(st.integers(1, 4)))
+
+
+@st.composite
+def psd_stacks(draw):
+    dim = draw(st.integers(1, 4))
+    return np.array([_psd(draw, dim) for _ in range(draw(st.integers(1, 5)))])
+
+
+@given(psd_matrices())
+@settings(max_examples=200, deadline=None)
+def test_simplex_qp_min_matches_the_face_loop(Q):
+    f, w = fidelity._simplex_qp_min(Q)
+    f_ref, _ = _simplex_qp_min_loop(Q)
+    tol = 1e-12 * max(1.0, abs(f_ref))
+    assert isinstance(f, float)
+    assert abs(f - f_ref) <= tol
+    assert w.shape == (len(Q),) and w.min() >= 0.0
+    assert w.sum() == pytest.approx(1.0, abs=1e-12)
+    assert abs(w @ Q @ w - f_ref) <= tol
+
+
+@given(psd_stacks())
+@settings(max_examples=50, deadline=None)
+def test_simplex_qp_min_of_a_stack_is_its_members(Qs):
+    f, w = fidelity._simplex_qp_min(Qs)
+    assert f.shape == (len(Qs),) and w.shape == Qs.shape[:2]
+    for i, Q in enumerate(Qs):
+        f_i, w_i = fidelity._simplex_qp_min(Q)
+        assert f[i] == f_i
+        assert np.array_equal(w[i], w_i)
+    # a leading axis of its own is one more stack level
+    f2, w2 = fidelity._simplex_qp_min(Qs[None])
+    assert np.array_equal(f2[0], f) and np.array_equal(w2[0], w)
+
+
+def _scan_offsets(bb_series):
+    return bb_series.tau + np.arange(-24, 25) * 1e-3
+
+
+def test_switching_channel_over_an_array_is_the_stacked_channels(ref_cfg, bb_series):
+    taus = _scan_offsets(bb_series)
+    z = np.zeros(2, int)
+    table = fidelity.switching_channel(ref_cfg, bb_series, taus).overlaps(z, z)
+    ref = np.stack([fidelity.switching_channel(ref_cfg, bb_series, t).overlaps(z, z) for t in taus])
+    assert table.shape == ref.shape == (len(taus), 2, 3)
+    # the aa and ab columns are elementwise closed forms; the bb column sums
+    # the 32 levels of the spectrum, in a matrix product whose rounding can
+    # follow the number of rows
+    assert np.array_equal(table[..., :2], ref[..., :2])
+    assert np.max(np.abs(table - ref)) <= 32 * np.finfo(float).eps
+    one = fidelity.switching_channel(ref_cfg, bb_series, taus[:1]).overlaps(z, z)
+    assert one.shape == (1, 2, 3)
+
+
+def test_timing_sensitivity_is_the_scalar_scan(ref_cfg, bb_series):
+    calls = []
+
+    def factory(tau):
+        calls.append(np.shape(tau))
+        return fidelity.switching_channel(ref_cfg, bb_series, tau)
+
+    curve = fidelity.timing_sensitivity(factory, bb_series.tau, delta=1e-3, n_side=24)
+    assert calls == [(49,)]
+    ref = [fidelity.min_fidelity(fidelity.switching_channel(ref_cfg, bb_series, t)) for t in _scan_offsets(bb_series)]
+    assert np.max(np.abs(curve.fidelity - ref)) <= 1e-14

@@ -304,6 +304,32 @@ def test_random_fill_census_matches_loop(eta, seed):
     assert all(type(k) is int and type(v) is int for k, v in census.items())
 
 
+def _random_fill_by_full_draw(shape, eta, seed):
+    """``qc.random_fill`` as one ``rng.random(shape)`` draw, with the runs
+    read off the first difference of each zero-padded row."""
+    mask = np.random.default_rng(seed).random(shape) < eta
+    rows = mask.reshape(-1, shape[-1])
+    padded = np.zeros((rows.shape[0], rows.shape[1] + 2), dtype=np.int8)
+    padded[:, 1:-1] = rows
+    edges = np.diff(padded, axis=1).ravel()
+    sizes, counts = np.unique(np.flatnonzero(edges == -1) - np.flatnonzero(edges == 1), return_counts=True)
+    return mask, {int(n): int(c) for n, c in zip(sizes, counts)}
+
+
+@pytest.mark.parametrize(
+    "shape,eta",
+    [((300,), 0.4), ((5, 17), 0.3), ((63, 20), 0.5), ((64, 9), 0.5), ((130, 11), 0.2), ((3, 4, 70), 0.6), ((100, 30), 0.0), ((100, 30), 1.0)],
+)
+def test_random_fill_blocks_match_one_draw(shape, eta):
+    # a 1-D shape, fewer than FILL_ROWS rows, one exactly and a last short block
+    for seed in (0, 5):
+        mask, census = qc.random_fill(shape, eta, seed=seed)
+        ref_mask, ref_census = _random_fill_by_full_draw(shape, eta, seed)
+        assert mask.shape == shape and mask.dtype == bool
+        assert np.array_equal(mask, ref_mask)
+        assert census == ref_census
+
+
 def test_cluster_scaling_exponent_on_exact_counts():
     etas = np.array([0.05, 0.1, 0.2])
     n_sites = 10**6
